@@ -75,6 +75,11 @@ class FpAbGroup:
     def zero(self) -> tuple:
         return tuple(0 for _ in self.invariant_factors)
 
+    def generator(self, i: int) -> tuple:
+        """The canonical element with 1 in invariant-factor slot i."""
+        return tuple(1 if j == i else 0
+                     for j in range(len(self.invariant_factors)))
+
     def add(self, a: tuple, b: tuple) -> tuple:
         return tuple((x + y) % m if m else x + y
                      for x, y, m in zip(a, b, self.invariant_factors))
@@ -107,9 +112,6 @@ class FpAbGroup:
 
     # -- presentation ------------------------------------------------------
 
-    def relation_lattice(self) -> IntMatrix:
-        return hnf(self.relations)
-
     def iso_type(self) -> str:
         if not self.invariant_factors:
             return "0"
@@ -123,9 +125,6 @@ class FpAbGroup:
         elif free > 1:
             parts.append("Z^%d" % free)
         return " + ".join(parts)
-
-    def same_iso_type(self, other: "FpAbGroup") -> bool:
-        return self.invariant_factors == other.invariant_factors
 
 
 def fp_from_presentation(gens: int, rels: IntMatrix) -> FpAbGroup:
@@ -235,6 +234,14 @@ class FpMorphism:
         return FpMorphism(other.source, self.target,
                           self.matrix.mul(other.matrix))
 
+    def agrees_with(self, other: "FpMorphism") -> bool:
+        """Do both maps send every source generator to the same element?"""
+        for j in range(self.matrix.cols):
+            if self.target.normal_form(self.matrix.col(j)) != \
+                    other.target.normal_form(other.matrix.col(j)):
+                return False
+        return True
+
     def is_zero(self) -> bool:
         for j in range(self.matrix.cols):
             col = self.matrix.col(j)
@@ -296,11 +303,6 @@ def fp_kernel_cokernel(f: FpMorphism):
         f.target.gens, f.target.relations.hstack(f.matrix))
     proj = FpMorphism(f.target, coker, IntMatrix.identity(f.target.gens))
     return (ker, incl), (coker, proj)
-
-
-def fp_image_group(f: FpMorphism) -> FpAbGroup:
-    """The image of f up to isomorphism (as source modulo kernel)."""
-    return fp_from_presentation(f.source.gens, f.kernel_lattice())
 
 
 def fp_exact_at(f: FpMorphism, g: FpMorphism) -> bool:

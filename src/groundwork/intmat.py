@@ -8,9 +8,7 @@ for lattice equality throughout the package.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 def xgcd(a: int, b: int):
@@ -145,22 +143,6 @@ class IntMatrix:
 
     def __str__(self):
         return "\n".join(" ".join(str(a) for a in row) for row in self.entries)
-
-
-def _col_combine(cols, i, j, r):
-    """Unimodular op on columns i, j making cols[j][r] = 0."""
-    a, b = cols[i][r], cols[j][r]
-    if b == 0:
-        return
-    if a == 0:
-        cols[i], cols[j] = cols[j], cols[i]
-        return
-    g, s, t = xgcd(a, b)
-    u, v = a // g, b // g
-    ci, cj = cols[i], cols[j]
-    new_i = [s * x + t * y for x, y in zip(ci, cj)]
-    new_j = [-v * x + u * y for x, y in zip(ci, cj)]
-    cols[i], cols[j] = new_i, new_j
 
 
 def _hnf_cols(cols, m, companion=None):
@@ -346,12 +328,6 @@ def snf(A: IntMatrix):
     return D, IntMatrix.from_rows(U), IntMatrix.from_rows(V)
 
 
-def snf_diagonal(A: IntMatrix):
-    """Just the invariant factors (nonzero first, then zeros padded off)."""
-    D, _, _ = snf(A)
-    return tuple(D[i, i] for i in range(min(A.rows, A.cols)))
-
-
 def solve(A: IntMatrix, b):
     """One integer solution x of A·x = b, or None."""
     D, U, V = snf(A)
@@ -373,12 +349,6 @@ def solve(A: IntMatrix, b):
 def lattice_contains(L: IntMatrix, v) -> bool:
     """Is integer vector v in the column lattice of L?"""
     return solve(L, v) is not None
-
-
-def lattice_sum(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    if A.rows != B.rows:
-        raise ValueError("ambient mismatch")
-    return hnf(A.hstack(B))
 
 
 def lattices_equal(A: IntMatrix, B: IntMatrix) -> bool:
@@ -425,17 +395,3 @@ def inverse_unimodular(A: IntMatrix) -> IntMatrix:
             raise ValueError("matrix is not unimodular")
         cols.append(list(x))
     return IntMatrix.from_cols(cols, rows=n)
-
-
-def rational_to_integer_cols(cols):
-    """Scale rational columns by their common denominator.
-
-    Returns (integer_cols, denominator).
-    """
-    den = 1
-    for col in cols:
-        for x in col:
-            f = Fraction(x)
-            den = den * f.denominator // math.gcd(den, f.denominator)
-    int_cols = [[int(Fraction(x) * den) for x in col] for col in cols]
-    return int_cols, den

@@ -467,10 +467,6 @@ class LatticePairGroup:
     def group_type(self) -> GroupType:
         return quotient_type(self.numerator, self.denominator)
 
-    def is_divisible(self) -> bool:
-        t = self.group_type()
-        return t.z_rank == 0 and not t.finite_factors
-
 
 def latpair_quotient_type(G: LatticePairGroup) -> GroupType:
     return G.group_type()

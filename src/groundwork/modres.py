@@ -45,10 +45,6 @@ class ResourceCap(RuntimeError):
 DEFAULT_ELEMENT_CAP = 10 ** 6
 
 
-def _gen_elem(G: FpAbGroup, i: int) -> tuple:
-    return tuple(1 if j == i else 0 for j in range(len(G.invariant_factors)))
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteRing:
     name: str
@@ -133,7 +129,7 @@ def validate_module(ring: FiniteRing, additive: FpAbGroup,
     if not additive.is_finite():
         raise InvalidModule("additive group must be finite")
     relems = ring.elements()
-    gens = [_gen_elem(additive, i)
+    gens = [additive.generator(i)
             for i in range(len(additive.invariant_factors))]
     for r in relems:
         if r not in action:
@@ -172,7 +168,7 @@ def module_from_action_table(ring: FiniteRing, additive: FpAbGroup,
             acc = additive.zero()
             for i, c in enumerate(s):
                 acc = additive.add(acc, additive.smul(
-                    c, table[(r, _gen_elem(additive, i))]))
+                    c, table[(r, additive.generator(i))]))
             cols.append(list(additive.lift(acc)))
         action[r] = FpMorphism(additive, additive, IntMatrix.from_cols(
             cols, rows=additive.gens) if additive.gens else
@@ -255,20 +251,12 @@ def is_r_linear(h: FpMorphism, source: FiniteModule,
     # additive generators of the ring suffice: the action is additive in
     # the ring variable by distributivity
     R = source.ring
-    gens = [_gen_elem(R.additive, i)
+    gens = [R.additive.generator(i)
             for i in range(len(R.additive.invariant_factors))]
     for r in gens:
         left = h.compose(source.action[r])
         right = target.action[r].compose(h)
-        if not _same_morphism(left, right):
-            return False
-    return True
-
-
-def _same_morphism(f: FpMorphism, g: FpMorphism) -> bool:
-    for j in range(f.matrix.cols):
-        if f.target.normal_form(f.matrix.col(j)) != \
-                g.target.normal_form(g.matrix.col(j)):
+        if not left.agrees_with(right):
             return False
     return True
 
@@ -374,7 +362,7 @@ def coinduced(R: FiniteRing, D: DivisibleGroup,
     action = {}
     for r in R.elements():
         # r·g_j expanded over the smith generators of R
-        coeffs = [R.times(r, _gen_elem(R.additive, j)) for j in range(k)]
+        coeffs = [R.times(r, R.additive.generator(j)) for j in range(k)]
         cols = []
         for i in range(k):          # which part the hom-generator lives in
             for g in range(parts[i].group.gens):
@@ -411,7 +399,7 @@ def unit_embedding(M: FiniteModule, D: DivisibleGroup, iota,
         m = M.additive.normal_form(e)
         vectors = []
         for i in range(k):
-            rm = M.act(_gen_elem(R.additive, i), m)
+            rm = M.act(R.additive.generator(i), m)
             vectors.append(tuple(Fraction(x) for x in iota(rm)))
         cols.append(list(H.lift(C.encode(vectors))))
     if H.gens == 0 or M.additive.gens == 0:

@@ -152,9 +152,6 @@ class Formula:
         return isinstance(other, Formula) and self.root == other.root and \
             dict(self.sorts) == dict(other.sorts)
 
-    def sort_of_var(self, name):
-        return self.sorts[name]
-
 
 # -- sorts -------------------------------------------------------------------
 

@@ -520,13 +520,6 @@ def u_shriek(u: FinFunctor, G: Presheaf):
     return P, class_of
 
 
-def _u_star_rep(u: FinFunctor, cp):
-    """The presheaf c -> Hom_{C'}(u(c), cp) on C (u^* of the representable).
-
-    Elements are "c|arrow"."""
-    return u_star(u, representable(u.target, cp))
-
-
 def u_lower_star(u: FinFunctor, G: Presheaf):
     """Right Kan extension u_*G on C' (right adjoint to u^*).
 

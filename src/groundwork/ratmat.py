@@ -18,21 +18,8 @@ def vec(xs) -> Vec:
     return tuple(fr(x) for x in xs)
 
 
-def vzero(n: int) -> Vec:
-    return tuple(Fraction(0) for _ in range(n))
-
-
-def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(c, a: Vec) -> Vec:
-    c = fr(c)
-    return tuple(c * x for x in a)
 
 
 def vis_zero(a: Vec) -> bool:
@@ -68,16 +55,6 @@ def rref(rows):
         if r == len(M):
             break
     return [tuple(row) for row in M[:r]], pivots
-
-
-def subspace_basis(vectors):
-    """Canonical (RREF) basis of the span of the given vectors."""
-    basis, _ = rref(vectors)
-    return basis
-
-
-def subspace_contains(basis, pivots, v: Vec) -> bool:
-    return vis_zero(reduce_mod_span(basis, pivots, v))
 
 
 def reduce_mod_span(basis, pivots, v: Vec) -> Vec:

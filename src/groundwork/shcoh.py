@@ -5,14 +5,19 @@ group per point and one homomorphism stalk_p -> stalk_q whenever q lies in
 the minimal open U_p (this category is equivalent to sheaves on the space;
 sections over U are the compatible families over the points of U).
 
-Derived-functor cohomology follows the Godement route: embed each stalk in
-its divisible hull, take products over points of minimal opens (pushforward
-from points of injective groups, hence injective sheaves), iterate on
-cokernels and take cohomology of the global-section complex.  Divisible
-values are carried by the span+lattice machinery and reports are always
-finite.  The long exact sequence uses the discrete (flasque) variant of
-the same resolution, which is functorial and exact and keeps every group
-finite so connecting maps can be built by explicit zig-zag.
+Derived-functor cohomology follows the Godement route: the Godement sheaf
+God(S) has stalk ⊕_{q∈U_p} S_q at p, S embeds in it by the tuple of comaps,
+and the resolution iterates on cokernels.  Both routes read their cochain
+groups off the identity Γ(God S) = ∏_p S_p, under which every differential
+copies the U_p-indexed coordinate blocks of a family into the block of p.
+`sheaf_cohomology` resolves by divisible hulls (injective sheaves), carried
+by the span+lattice machinery, so reports are always finite.
+`long_exact_sequence` uses the discrete (flasque) variant, which is
+functorial and exact and keeps every group finite, so connecting maps are
+built by explicit zig-zag.  Section spaces (`sections`, `gamma_map`,
+`pair_global_sections`) are solved for only where no such identity
+applies: Čech cohomology over arbitrary opens, global sections of an
+arbitrary sheaf, and the maps a sheaf map induces between them.
 """
 from __future__ import annotations
 
@@ -46,10 +51,6 @@ def _fp_add(f: FpMorphism, g: FpMorphism) -> FpMorphism:
 
 def _fp_sub(f: FpMorphism, g: FpMorphism) -> FpMorphism:
     return FpMorphism(f.source, f.target, f.matrix.add(g.matrix.neg()))
-
-
-def _gen_elem(G: FpAbGroup, i: int) -> tuple:
-    return tuple(1 if j == i else 0 for j in range(len(G.invariant_factors)))
 
 
 def fp_preimage(f: FpMorphism, y: tuple):
@@ -118,24 +119,16 @@ def validate_sheaf(X: FiniteSpace, stalks, comaps) -> AbelianSheaf:
             if f.source is not stalks[p] or f.target is not stalks[q]:
                 raise SheafError("comap %r has wrong endpoints" % ((p, q),))
             f.check()
-        if not _same_fp_map(comaps[(p, p)], fp_identity(stalks[p])):
+        if not comaps[(p, p)].agrees_with(fp_identity(stalks[p])):
             raise SheafError("comap at %r is not the identity" % (p,))
     for p in X.points:
         for q in X.minimal_open(p):
             for r in X.minimal_open(q):
                 left = comaps[(q, r)].compose(comaps[(p, q)])
-                if not _same_fp_map(left, comaps[(p, r)]):
+                if not left.agrees_with(comaps[(p, r)]):
                     raise SheafError("comaps do not compose at %r"
                                      % ((p, q, r),))
     return AbelianSheaf(X, dict(stalks), dict(comaps))
-
-
-def _same_fp_map(f: FpMorphism, g: FpMorphism) -> bool:
-    for j in range(f.matrix.cols):
-        if f.target.normal_form(f.matrix.col(j)) != \
-                g.target.normal_form(g.matrix.col(j)):
-            return False
-    return True
 
 
 def constant_sheaf(X: FiniteSpace, factors) -> AbelianSheaf:
@@ -184,7 +177,7 @@ class SheafMap:
             for q in self.source.space.minimal_open(p):
                 left = self.components[q].compose(self.source.comaps[(p, q)])
                 right = self.target.comaps[(p, q)].compose(f)
-                if not _same_fp_map(left, right):
+                if not left.agrees_with(right):
                     raise SheafError(
                         "map does not commute with comaps at %r" % ((p, q),))
         return self
@@ -345,6 +338,60 @@ def cech_cohomology(F: AbelianSheaf, cover, n_max: int) -> CohomologyReport:
     return CohomologyReport(tuple(out))
 
 
+# -- Godement block layout ---------------------------------------------------
+
+
+def _blocks(points, size):
+    """Offsets of the coordinate blocks of the points, stacked in sorted
+    order with size[q] coordinates for q; returns (offsets, total), the
+    dict in that order.  Every Godement stalk ⊕_{q∈U_p} S_q and every
+    product ∏_p S_p is laid out this way."""
+    offsets, total = {}, 0
+    for q in sorted(points):
+        offsets[q] = total
+        total += size[q]
+    return offsets, total
+
+
+def _godement_layout(X: FiniteSpace, size):
+    """(offsets, comap_moves) of the Godement sheaf of S, where size[q]
+    counts the coordinates of S_q: offsets[p] lays out the stalk at p and
+    comap_moves[(p, p2)] lists the block copies (dst, src, length) of its
+    comap, the projection onto the U_{p2} blocks."""
+    offsets = {p: _blocks(X.minimal_open(p), size)[0] for p in X.points}
+    moves = {(p, p2): [(off, offsets[p][q], size[q])
+                       for q, off in offsets[p2].items()]
+             for p in X.points for p2 in X.minimal_open(p)}
+    return offsets, moves
+
+
+def _godement_moves(X: FiniteSpace, size):
+    """Block copies (dst, src, length) of the cochain differential
+    ∏_q S_q -> ∏_p ⊕_{q∈U_p} S_q of Γ(God S) = ∏_p S_p: the block of q
+    goes to the q-block of every p with q ∈ U_p."""
+    src, _ = _blocks(X.points, size)
+    moves, base = [], 0
+    for p in src:
+        local, total = _blocks(X.minimal_open(p), size)
+        moves += [(base + off, src[q], size[q]) for q, off in local.items()]
+        base += total
+    return moves
+
+
+def _copy_rows(moves, rows: int, cols: int, zero=0, one=1):
+    """Rows of the 0/1 matrix that performs the given block copies."""
+    out = [[zero] * cols for _ in range(rows)]
+    for dst, src, length in moves:
+        for i in range(length):
+            out[dst + i][src + i] = one
+    return tuple(tuple(r) for r in out)
+
+
+def _copy_map(source: FpAbGroup, target: FpAbGroup, moves) -> FpMorphism:
+    return FpMorphism(source, target, IntMatrix(
+        target.gens, source.gens, _copy_rows(moves, target.gens, source.gens)))
+
+
 # -- divisible-valued sheaves (span+lattice stalks) --------------------------
 
 
@@ -353,7 +400,7 @@ def _rows_of_fp(f: FpMorphism):
     as (1/d)Z / Z: a smith-matrix entry M_rc becomes M_rc * d_c / d_r."""
     ds = f.source.invariant_factors
     dt = f.target.invariant_factors
-    cols = [f.apply(_gen_elem(f.source, i)) for i in range(len(ds))]
+    cols = [f.apply(f.source.generator(i)) for i in range(len(ds))]
     return tuple(tuple(Fraction(cols[c][r] * ds[c], dt[r])
                        for c in range(len(ds)))
                  for r in range(len(dt)))
@@ -362,21 +409,6 @@ def _rows_of_fp(f: FpMorphism):
 def _rows_identity(n):
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n))
                  for i in range(n))
-
-
-def _rows_compose(A, B):
-    """A ∘ B on column vectors."""
-    if not A:
-        return ()
-    inner = len(B)
-    return tuple(tuple(sum((a_row[t] * B[t][j] for t in range(inner)),
-                           Fraction(0)) for j in range(len(B[0]) if B else 0))
-                 for a_row in A)
-
-
-def _rows_apply(A, v):
-    return tuple(sum((row[j] * Fraction(v[j]) for j in range(len(v))),
-                     Fraction(0)) for row in A)
 
 
 def pair_of_group(G: FpAbGroup) -> LatticePairGroup:
@@ -450,34 +482,17 @@ def godement_embedding(F):
         F = as_pair_sheaf(F)
     X = F.space
     hulls = {q: hull_pair(F.stalks[q]) for q in X.points}
-    layouts = {}
-    stalks = {}
-    for p in X.points:
-        qs = sorted(X.minimal_open(p))
-        pair, offs = pair_product([hulls[q] for q in qs])
-        stalks[p] = pair
-        layouts[p] = (qs, offs)
-    comaps = {}
-    for p in X.points:
-        qs, offs = layouts[p]
-        amb = stalks[p].ambient
-        for p2 in X.minimal_open(p):
-            qs2, offs2 = layouts[p2]
-            amb2 = stalks[p2].ambient
-            rows = [[Fraction(0)] * amb for _ in range(amb2)]
-            for q, off2 in zip(qs2, offs2):
-                off = offs[qs.index(q)]
-                for i in range(hulls[q].ambient):
-                    rows[off2 + i][off + i] = Fraction(1)
-            comaps[(p, p2)] = tuple(tuple(r) for r in rows)
-    components = {}
-    for p in X.points:
-        qs, _ = layouts[p]
-        rows = []
-        for q in qs:
-            for r in F.comaps[(p, q)]:
-                rows.append(tuple(Fraction(x) for x in r))
-        components[p] = tuple(rows)
+    offsets, comap_moves = _godement_layout(
+        X, {q: hulls[q].ambient for q in X.points})
+    stalks = {p: pair_product([hulls[q] for q in offsets[p]])[0]
+              for p in X.points}
+    zero, one = Fraction(0), Fraction(1)
+    comaps = {(p, p2): _copy_rows(moves, stalks[p2].ambient,
+                                  stalks[p].ambient, zero, one)
+              for (p, p2), moves in comap_moves.items()}
+    components = {p: tuple(tuple(Fraction(x) for x in r)
+                           for q in offsets[p] for r in F.comaps[(p, q)])
+                  for p in X.points}
     G = PairSheaf(X, stalks, comaps)
     return G, PairSheafMap(F, G, components)
 
@@ -539,33 +554,20 @@ def sheaf_cohomology(F, n_max: int) -> CohomologyReport:
     coordinate blocks of a family into the block of each point p."""
     cur = as_pair_sheaf(F) if isinstance(F, AbelianSheaf) else F
     X = cur.space
-    pts = sorted(X.points)
-    index = {p: i for i, p in enumerate(pts)}
-    gammas = []         # (pair, offsets aligned with pts) per level
-    hull_levels = []    # point -> hull of the stalk of Q^{k-1}
+    gammas = []         # Γ(G^k) = ∏_p hull(stalk_p Q^{k-1}) per level
+    sizes = []          # point -> coordinates of that hull
     for _ in range(n_max + 2):
-        hulls = {p: hull_pair(cur.stalks[p]) for p in pts}
-        hull_levels.append(hulls)
-        gammas.append(pair_product([hulls[p] for p in pts]))
+        hulls = {p: hull_pair(cur.stalks[p]) for p in X.points}
+        sizes.append({p: P.ambient for p, P in hulls.items()})
+        gammas.append(pair_product([hulls[p] for p in sorted(X.points)])[0])
         G, e = godement_embedding(cur)
         cur, _ = pair_sheaf_cokernel(e)
     out = []
     prev_image = None
     for n in range(n_max + 1):
-        src_pair, offs_src = gammas[n]
-        dst_pair, offs_dst = gammas[n + 1]
-        rows = [[Fraction(0)] * src_pair.ambient
-                for _ in range(dst_pair.ambient)]
-        for p in pts:
-            local = 0
-            for q in sorted(X.minimal_open(p)):
-                amb_q = hull_levels[n][q].ambient
-                o_s = offs_src[index[q]]
-                o_d = offs_dst[index[p]] + local
-                for i in range(amb_q):
-                    rows[o_d + i][o_s + i] = Fraction(1)
-                local += amb_q
-        rows = tuple(tuple(r) for r in rows)
+        src_pair, dst_pair = gammas[n], gammas[n + 1]
+        rows = _copy_rows(_godement_moves(X, sizes[n]), dst_pair.ambient,
+                          src_pair.ambient, Fraction(0), Fraction(1))
         kernel, image = latpair_kernel_image(rows, src_pair, dst_pair)
         base = prev_image.numerator if prev_image is not None \
             else src_pair.denominator
@@ -596,71 +598,43 @@ def check_ses(alpha: SheafMap, beta: SheafMap):
 
 
 def _godement_finite(F: AbelianSheaf):
-    """Discrete Godement sheaf: stalk at p is ⊕_{q∈U_p} F_q (flasque)."""
+    """One discrete Godement step: (G, embed, proj).
+
+    G_p = ⊕_{q∈U_p} F_q (flasque), its comaps project onto U_p blocks, the
+    embedding F -> G stacks the comaps of F, and proj: G -> Q is the
+    stalkwise cokernel, whose matrix is the identity."""
     X = F.space
-    stalks, layout = {}, {}
-    for p in X.points:
-        qs = sorted(X.minimal_open(p))
-        total, incs, projs = fp_direct_sum([F.stalks[q] for q in qs])
-        stalks[p] = total
-        layout[p] = (qs, incs, projs)
-    comaps = {}
-    for p in X.points:
-        qs, _, projs = layout[p]
-        for p2 in X.minimal_open(p):
-            qs2, incs2, _ = layout[p2]
-            m = fp_zero_morphism(stalks[p], stalks[p2])
-            for q, inc2 in zip(qs2, incs2):
-                m = _fp_add(m, inc2.compose(projs[qs.index(q)]))
-            comaps[(p, p2)] = m
+    offsets, comap_moves = _godement_layout(
+        X, {q: F.stalks[q].gens for q in X.points})
+    stalks = {p: fp_direct_sum([F.stalks[q] for q in offsets[p]])[0]
+              for p in X.points}
+    comaps = {key: _copy_map(stalks[key[0]], stalks[key[1]], moves)
+              for key, moves in comap_moves.items()}
     G = AbelianSheaf(X, stalks, comaps)
-    components = {}
+    embed = SheafMap(F, G, {p: FpMorphism(F.stalks[p], stalks[p], IntMatrix(
+        stalks[p].gens, F.stalks[p].gens,
+        tuple(r for q in offsets[p] for r in F.comaps[(p, q)].matrix.entries)))
+        for p in X.points})
+    Qs, projs = {}, {}
     for p in X.points:
-        qs, incs, _ = layout[p]
-        m = fp_zero_morphism(F.stalks[p], stalks[p])
-        for q, inc in zip(qs, incs):
-            m = _fp_add(m, inc.compose(F.comaps[(p, q)]))
-        components[p] = m
-    embed = SheafMap(F, G, components)
-    return G, embed, layout
+        _, (Qs[p], projs[p]) = fp_kernel_cokernel(embed.components[p])
+    Q = AbelianSheaf(X, Qs, {(p, q): FpMorphism(Qs[p], Qs[q], f.matrix).check()
+                             for (p, q), f in comaps.items()})
+    return G, embed, SheafMap(G, Q, projs)
 
 
-def _godement_finite_map(phi: SheafMap, layA, GA, layB, GB) -> SheafMap:
-    comps = {}
-    for p in phi.source.space.points:
-        qsA, _, projsA = layA[p]
-        qsB, incsB, _ = layB[p]
-        m = fp_zero_morphism(GA.stalks[p], GB.stalks[p])
-        for q, inc in zip(qsB, incsB):
-            m = _fp_add(m, inc.compose(
-                phi.components[q]).compose(projsA[qsA.index(q)]))
-        comps[p] = m
-    return SheafMap(GA, GB, comps)
-
-
-def _sheaf_cokernel_finite(e: SheafMap):
-    X = e.target.space
-    stalks, projs = {}, {}
-    for p in X.points:
-        (_, _), (coker, proj) = fp_kernel_cokernel(e.components[p])
-        stalks[p] = coker
-        projs[p] = proj
-    comaps = {}
-    for p in X.points:
-        for q in X.minimal_open(p):
-            comaps[(p, q)] = FpMorphism(
-                stalks[p], stalks[q],
-                e.target.comaps[(p, q)].matrix).check()
-    Q = AbelianSheaf(X, stalks, comaps)
-    return Q, SheafMap(e.target, Q, projs)
-
-
-def _coker_induced(phiG: SheafMap, QA: AbelianSheaf,
-                   QB: AbelianSheaf) -> SheafMap:
-    comps = {p: FpMorphism(QA.stalks[p], QB.stalks[p],
-                           phiG.components[p].matrix).check()
-             for p in QA.space.points}
-    return SheafMap(QA, QB, comps)
+def _product_map(points, maps, source: FpAbGroup,
+                 target: FpAbGroup) -> FpMorphism:
+    """The block-diagonal map of products over the points (laid out by
+    _blocks) acting by maps[q] on the block of q."""
+    offsets, _ = _blocks(points, {q: maps[q].source.gens for q in points})
+    rows = []
+    for q, off in offsets.items():
+        m = maps[q].matrix
+        pad = (0,) * (source.gens - off - m.cols)
+        rows += [(0,) * off + r + pad for r in m.entries]
+    return FpMorphism(source, target,
+                      IntMatrix(target.gens, source.gens, tuple(rows))).check()
 
 
 @dataclass(frozen=True, eq=False)
@@ -685,55 +659,37 @@ def long_exact_sequence(alpha: SheafMap, beta: SheafMap,
     """Cohomology LES of 0 -> F' -> F -> F'' -> 0 with connecting maps.
 
     Built from the discrete Godement resolution (flasque, functorial,
-    exact), connecting maps by explicit zig-zag with deterministic
+    exact).  With Q^{-1} the sheaf and Q^k the cokernel of its Godement
+    step on Q^{k-1}, the identity Γ(God S) = ∏_p S_p gives the cochains
+    C^k = ∏_p Q^{k-1}_p: the differentials copy U_p blocks and the chain
+    maps are block-diagonal in the induced stalk maps, so no section space
+    is solved for.  Connecting maps by explicit zig-zag with deterministic
     preimage choice."""
     check_ses(alpha, beta)
-    L = n_max + 1
-    triple = (alpha.source, alpha.target, beta.target)
-    maps2 = (alpha, beta)
-    # build towers of Godement terms with sheaf-level differentials and
-    # induced chain maps
-    towers = [[] for _ in range(3)]      # Godement sheaves per side
-    tower_maps = [[] for _ in range(2)]  # induced alpha/beta at each level
-    sheaf_diffs = [[] for _ in range(3)]
-    cur = triple
-    cur_maps = maps2
-    prev_data = None
-    for k in range(L + 1):
-        gods = [_godement_finite(F) for F in cur]
-        Gs = [g[0] for g in gods]
-        embeds = [g[1] for g in gods]
-        lays = [g[2] for g in gods]
-        phis = [_godement_finite_map(cur_maps[0], lays[0], Gs[0],
-                                     lays[1], Gs[1]),
-                _godement_finite_map(cur_maps[1], lays[1], Gs[1],
-                                     lays[2], Gs[2])]
-        for i in range(3):
-            towers[i].append(Gs[i])
-        for i in range(2):
-            tower_maps[i].append(phis[i])
-        if prev_data is not None:
-            prev_projs = prev_data
-            for i in range(3):
-                sheaf_diffs[i].append(embeds[i].compose(prev_projs[i]))
-        coks = [_sheaf_cokernel_finite(e) for e in embeds]
-        Qs = [c[0] for c in coks]
-        projs = [c[1] for c in coks]
-        cur = tuple(Qs)
-        cur_maps = (_coker_induced(phis[0], Qs[0], Qs[1]),
-                    _coker_induced(phis[1], Qs[1], Qs[2]))
-        prev_data = projs
-    # global-section complexes
-    secs = [[sections(G, G.space.points) for G in towers[i]]
-            for i in range(3)]
-    C_diffs = [[gamma_map(sheaf_diffs[i][k], secs[i][k], secs[i][k + 1])
-                for k in range(L)] for i in range(3)]
-    C_alpha = [gamma_map(tower_maps[0][k], secs[0][k], secs[1][k])
-               for k in range(L + 1)]
-    C_beta = [gamma_map(tower_maps[1][k], secs[1][k], secs[2][k])
-              for k in range(L + 1)]
-    # cohomology in degrees 0..n_max (degree n uses d^n : C^n -> C^{n+1};
-    # at the top degree treat the missing differential as the zero map)
+    X = alpha.source.space
+    pts = sorted(X.points)
+    # Q^{-1}..Q^{n_max} per sheaf, and the stalk maps that alpha and beta
+    # induce on Q^{-1}..Q^{n_max-1}
+    towers = [[alpha.source], [alpha.target], [beta.target]]
+    induced = [[alpha.components], [beta.components]]
+    for k in range(n_max + 1):
+        for tower in towers:
+            tower.append(_godement_finite(tower[-1])[2].target)
+        if k < n_max:
+            for i, maps in enumerate(induced):
+                A, B = towers[i][-1], towers[i + 1][-1]
+                maps.append({p: _product_map(X.minimal_open(p), maps[-1],
+                                             A.stalks[p], B.stalks[p])
+                             for p in pts})
+    # cochains C^k = Γ(G^k) = ∏_p Q^{k-1}_p for k = 0..n_max+1
+    C = [[fp_direct_sum([Q.stalks[p] for p in pts])[0] for Q in tower]
+         for tower in towers]
+    C_diffs = [[_copy_map(C[i][k], C[i][k + 1], _godement_moves(
+        X, {q: towers[i][k].stalks[q].gens for q in pts})).check()
+        for k in range(n_max + 1)] for i in range(3)]
+    C_alpha, C_beta = ([_product_map(pts, induced[i][k], C[i][k], C[i + 1][k])
+                        for k in range(n_max + 1)] for i in range(2))
+    # cohomology in degrees 0..n_max (degree n uses d^n : C^n -> C^{n+1})
     H = [[], [], []]
     Kdata = [[], [], []]
     for i in range(3):

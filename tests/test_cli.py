@@ -97,6 +97,18 @@ def test_les_verified():
     assert "verified" in out
 
 
+def test_les_readme_example_pinned():
+    code, out = run("les", "--space", "interval-3", "--kind", "const",
+                    "--d", "2", "--e", "2", "--max-degree", "2")
+    assert code == 0
+    assert out.splitlines() == [
+        "0 -> Z/2 -> Z/4 -> Z/2 -> 0 (const)",
+        "H^0(F') = Z/2", "H^0(F) = Z/4", "H^0(F'') = Z/2",
+        "H^1(F') = 0", "H^1(F) = 0", "H^1(F'') = 0",
+        "H^2(F') = 0", "H^2(F) = 0", "H^2(F'') = 0",
+        "long exact sequence verified through degree 2"]
+
+
 def test_les_seeded_is_deterministic():
     a = run("les", "--space", "interval-3", "--seed", "5",
             "--max-degree", "1")

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from groundwork.intmat import (IntMatrix, det, hnf, inverse_unimodular,
-                               is_unimodular, kernel, lattice_contains,
-                               lattices_equal, snf, solve)
+from groundwork.intmat import (IntMatrix, det, hnf, hnf_with_transform,
+                               inverse_unimodular, is_unimodular, kernel,
+                               lattice_contains, lattices_equal, snf, solve)
 
 
 def check_snf(A):
@@ -70,6 +70,22 @@ def test_hnf_canonical_under_column_ops():
         B = IntMatrix.from_cols(cols, rows=m)
         assert hnf(A).entries == hnf(B).entries
         assert lattices_equal(A, B)
+
+
+def test_hnf_with_transform():
+    rng = random.Random(13)
+    for _ in range(40):
+        m = rng.randint(1, 4)
+        n = rng.randint(1, 5)
+        A = IntMatrix.from_rows(
+            [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
+        H, V, rank = hnf_with_transform(A)
+        assert is_unimodular(V)
+        AV = A.mul(V)
+        assert [AV.col(j) for j in range(rank)] == \
+            [H.col(j) for j in range(H.cols)]
+        assert all(x == 0 for j in range(rank, n) for x in AV.col(j))
+        assert H.entries == hnf(A).entries
 
 
 def test_kernel():

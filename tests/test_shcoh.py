@@ -15,8 +15,8 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 import groundwork.shcoh as shcoh
-from groundwork.fpgroup import (FpMorphism, fp_from_factors, fp_identity,
-                                fp_zero_morphism)
+from groundwork.fpgroup import (FpMorphism, fp_direct_sum, fp_from_factors,
+                                fp_identity, fp_zero_morphism)
 from groundwork.intmat import IntMatrix
 from groundwork.latpair import latpair_quotient_type
 from groundwork.shcoh import (AbelianSheaf, NotACover, SheafError, SheafMap,
@@ -230,10 +230,14 @@ def test_cohomology_flasque_vanishes():
     X = pseudo_circle()
     r = sheaf_cohomology(skyscraper_sheaf(X, "c", [4]), 2)
     assert r.lines() == ["H^0 = Z/4", "H^1 = 0", "H^2 = 0"]
-    G, _, _ = shcoh._godement_finite(constant_sheaf(X, [4]))
+    F = constant_sheaf(X, [4])
+    G, _, _ = shcoh._godement_finite(F)
     r = sheaf_cohomology(G, 2)
     assert [str(g.order()) for g in r.degrees[1:]] == ["1", "1"]
     assert r.degrees[0].order() == global_sections(G).order()
+    # the discrete Godement identity Γ(God F) = ∏_p F_p
+    prod, _, _ = fp_direct_sum([F.stalks[p] for p in sorted(X.points)])
+    assert global_sections(G).invariant_factors == prod.invariant_factors
 
 
 def test_h0_is_global_sections():
@@ -256,11 +260,11 @@ def flasque_cohomology(F: AbelianSheaf, n_max: int):
     terms, sheaf_diffs, prev_proj = [], [], None
     cur = F
     for _ in range(n_max + 2):
-        G, e, _ = shcoh._godement_finite(cur)
+        G, e, proj = shcoh._godement_finite(cur)
         if prev_proj is not None:
             sheaf_diffs.append(e.compose(prev_proj))
         terms.append(G)
-        cur, prev_proj = shcoh._sheaf_cokernel_finite(e)
+        cur, prev_proj = proj.target, proj
     secs = [sections(G, pts) for G in terms]
     ds = [gamma_map(sheaf_diffs[k], secs[k], secs[k + 1])
           for k in range(n_max + 1)]
@@ -439,3 +443,10 @@ def test_random_ses_long_exact():
         assert les.groups[0].order() == global_sections(a.source).order(), \
             "seed %d" % seed
         assert all(g.order() for g in les.groups)
+        # every group agrees with the divisible route in every degree
+        derived = [report_multisets(sheaf_cohomology(F, 2))
+                   for F in (a.source, a.target, b.target)]
+        assert [prime_power_multiset(d for d in g.invariant_factors if d)
+                for g in les.groups] == \
+            [derived[i][n] for n in range(3) for i in range(3)], \
+            "seed %d" % seed
