@@ -11,9 +11,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .intmat import (IntMatrix, hnf, inverse_unimodular, kernel,
-                     lattices_equal, snf)
-from .intmat import solve as int_solve
+from .intmat import IntMatrix, hnf, kernel, lattices_equal, snf
+from .intmat import solve_many as int_solve
 
 
 class IllDefinedMorphism(ValueError):
@@ -131,7 +130,7 @@ def fp_from_presentation(gens: int, rels: IntMatrix) -> FpAbGroup:
     """Group on `gens` generators with the columns of rels as relations."""
     if rels.rows != gens:
         raise ValueError("relation matrix must have one row per generator")
-    D, U, _V = snf(rels)
+    D, U, _V, U_inv = snf(rels)
     moduli = []
     for i in range(gens):
         d = D[i, i] if i < min(D.rows, D.cols) else 0
@@ -142,7 +141,7 @@ def fp_from_presentation(gens: int, rels: IntMatrix) -> FpAbGroup:
                      invariant_factors=factors,
                      _moduli=tuple(moduli),
                      _to_smith=U,
-                     _from_smith=inverse_unimodular(U))
+                     _from_smith=U_inv)
 
 
 def fp_from_factors(factors) -> FpAbGroup:
@@ -288,13 +287,9 @@ def fp_kernel_cokernel(f: FpMorphism):
     K = f.kernel_lattice()
     ker_gens = K.cols
     # relations of the kernel: source relations written in the K-basis
-    rel_cols = []
-    for j in range(f.source.relations.cols):
-        r = f.source.relations.col(j)
-        c = int_solve(K, r)
-        if c is None:
-            raise RuntimeError("relation lattice not inside kernel lattice")
-        rel_cols.append(list(c))
+    rel_cols = int_solve(K, f.source.relations.columns())
+    if None in rel_cols:
+        raise RuntimeError("relation lattice not inside kernel lattice")
     ker = fp_from_presentation(
         ker_gens, IntMatrix.from_cols(rel_cols, rows=ker_gens)
         if rel_cols else IntMatrix.zeros(ker_gens, 0))

@@ -3,7 +3,10 @@
 All arithmetic is arbitrary-precision; no floats anywhere.  Matrices are
 immutable and row-major.  The column-style Hermite normal form (nonnegative
 pivots, entries left of a pivot reduced modulo it) is the canonical form used
-for lattice equality throughout the package.
+for lattice equality throughout the package.  `snf` is the one elimination:
+it returns D = U·A·V together with U⁻¹, tracked during elimination, and
+`solve_many` is the factor-once path that solves every right-hand side
+against one SNF of A.
 """
 from __future__ import annotations
 
@@ -229,20 +232,24 @@ def kernel(A: IntMatrix) -> IntMatrix:
 
 
 def snf(A: IntMatrix):
-    """Smith normal form: returns (D, U, V) with D = U·A·V.
+    """Smith normal form: returns (D, U, V, U_inv) with D = U·A·V.
 
-    U, V unimodular; D diagonal with nonnegative entries d_i | d_{i+1}.
+    U, V unimodular; D diagonal with nonnegative entries d_i | d_{i+1};
+    U_inv = U⁻¹, kept by mirroring every row operation on U as the
+    inverse column operation on U_inv (stored transposed as W).
     """
     m, n = A.rows, A.cols
     M = [list(row) for row in A.entries]
-    U = [list(row) for row in IntMatrix.identity(m).entries]
-    V = [list(row) for row in IntMatrix.identity(n).entries]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    W = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
 
-    def row_op_sub(i, q, t):  # row_i -= q * row_t
+    def row_op_sub(i, q, t):  # row_i -= q * row_t; col_t += q * col_i
         Mi, Mt = M[i], M[t]
         M[i] = [x - q * y for x, y in zip(Mi, Mt)]
         Ui, Ut = U[i], U[t]
         U[i] = [x - q * y for x, y in zip(Ui, Ut)]
+        W[t] = [x + q * y for x, y in zip(W[t], W[i])]
 
     def col_op_sub(j, q, t):  # col_j -= q * col_t
         for row in M:
@@ -253,6 +260,7 @@ def snf(A: IntMatrix):
     def row_swap(i, t):
         M[i], M[t] = M[t], M[i]
         U[i], U[t] = U[t], U[i]
+        W[i], W[t] = W[t], W[i]
 
     def col_swap(j, t):
         for row in M:
@@ -299,6 +307,7 @@ def snf(A: IntMatrix):
             if M[t][t] < 0:
                 M[t] = [-x for x in M[t]]
                 U[t] = [-x for x in U[t]]
+                W[t] = [-x for x in W[t]]
             t += 1
         return t
 
@@ -324,26 +333,33 @@ def snf(A: IntMatrix):
                 row_swap(i, i + 1)
                 changed = True
                 break
-    D = IntMatrix.from_rows(M)
-    return D, IntMatrix.from_rows(U), IntMatrix.from_rows(V)
+    return (IntMatrix.from_rows(M), IntMatrix(m, m, tuple(map(tuple, U))),
+            IntMatrix(n, n, tuple(map(tuple, V))),
+            IntMatrix(m, m, tuple(zip(*W))))
+
+
+def solve_many(A: IntMatrix, bs):
+    """One integer solution x of A·x = b per b in bs (None where there is
+    none), all from a single factorization of A."""
+    bs = list(bs)
+    if not bs:
+        return []
+    D, U, V, _ = snf(A)
+    diag = [D[i, i] if i < A.cols else 0 for i in range(A.rows)]
+    out = []
+    for b in bs:
+        c = U.mul_vec(tuple(b))
+        if any(ci % d if d else ci for ci, d in zip(c, diag)):
+            out.append(None)
+        else:
+            y = [ci // d if d else 0 for ci, d in zip(c, diag)]
+            out.append(V.mul_vec(tuple((y + [0] * A.cols)[:A.cols])))
+    return out
 
 
 def solve(A: IntMatrix, b):
     """One integer solution x of A·x = b, or None."""
-    D, U, V = snf(A)
-    c = U.mul_vec(tuple(b))
-    n = A.cols
-    y = [0] * n
-    for i in range(A.rows):
-        d = D[i, i] if i < min(A.rows, n) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    return V.mul_vec(tuple(y))
+    return solve_many(A, [b])[0]
 
 
 def lattice_contains(L: IntMatrix, v) -> bool:
@@ -385,13 +401,9 @@ def is_unimodular(A: IntMatrix) -> bool:
 
 
 def inverse_unimodular(A: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular integer matrix (integer entries)."""
-    n = A.rows
-    cols = []
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        x = solve(A, e)
-        if x is None:
-            raise ValueError("matrix is not unimodular")
-        cols.append(list(x))
-    return IntMatrix.from_cols(cols, rows=n)
+    """Inverse of a unimodular integer matrix: V·U from its SNF, where
+    D = U·A·V is the identity."""
+    D, U, V, _ = snf(A)
+    if D.entries != IntMatrix.identity(A.cols).entries:
+        raise ValueError("matrix is not unimodular")
+    return V.mul(U)

@@ -22,6 +22,7 @@ from .fpgroup import FpAbGroup, FpMorphism, fp_from_presentation
 from .intmat import IntMatrix, hnf
 from .intmat import kernel as int_kernel
 from .intmat import solve as int_solve
+from .intmat import solve_many
 from .ratmat import fr, mat_vec, reduce_mod_span, rref, vec, vis_zero
 
 
@@ -334,15 +335,12 @@ def quotient_type(num: SpanLattice, den: SpanLattice) -> GroupType:
         return GroupType(q_rank, qz_rank, 0, ())
     B = IntMatrix.from_cols(
         [[int(x * den_n) for x in c] for c in lam_n_canon], rows=num.ambient)
-    rel_cols = []
-    for c in lam_d:
-        target = [fr(x) * den_n for x in c]
-        if any(x.denominator != 1 for x in target):
-            raise ContainmentError("denominator lattice outside numerator")
-        sol = int_solve(B, [int(x) for x in target])
-        if sol is None:
-            raise ContainmentError("denominator lattice outside numerator")
-        rel_cols.append(list(sol))
+    targets = [[fr(x) * den_n for x in c] for c in lam_d]
+    if any(x.denominator != 1 for t in targets for x in t):
+        raise ContainmentError("denominator lattice outside numerator")
+    rel_cols = solve_many(B, [[int(x) for x in t] for t in targets])
+    if None in rel_cols:
+        raise ContainmentError("denominator lattice outside numerator")
     t = B.cols
     G = fp_from_presentation(
         t, IntMatrix.from_cols(rel_cols, rows=t)
@@ -402,17 +400,12 @@ def subquotient(num: SpanLattice, den: SpanLattice) -> Subquotient:
     B = IntMatrix.from_cols(
         [[int(x * den_n) for x in c] for c in lam_n_canon],
         rows=num.ambient) if lam_n_canon else IntMatrix.zeros(num.ambient, 0)
-    rel_cols = []
-    for c in den.lattice:
-        w = num.reduce(c)
-        target = [fr(x) * den_n for x in w]
-        if any(x.denominator != 1 for x in target) and B.cols:
-            raise ContainmentError("denominator lattice outside numerator")
-        sol = int_solve(B, [int(x) for x in target]) if B.cols else (
-            None if not vis_zero(w) else ())
-        if sol is None:
-            raise ContainmentError("denominator lattice outside numerator")
-        rel_cols.append(list(sol))
+    targets = [[fr(x) * den_n for x in num.reduce(c)] for c in den.lattice]
+    if any(x.denominator != 1 for t in targets for x in t):
+        raise ContainmentError("denominator lattice outside numerator")
+    rel_cols = solve_many(B, [[int(x) for x in t] for t in targets])
+    if None in rel_cols:
+        raise ContainmentError("denominator lattice outside numerator")
     t = B.cols
     G = fp_from_presentation(
         t, IntMatrix.from_cols(rel_cols, rows=t)

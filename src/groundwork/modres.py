@@ -26,7 +26,7 @@ from .fpgroup import (FpAbGroup, FpMorphism, fp_direct_sum, fp_exact_at,
                       fp_free, fp_from_factors, fp_from_presentation,
                       fp_hom_group, fp_kernel_cokernel)
 from .intmat import IntMatrix, hnf
-from .intmat import solve as int_solve
+from .intmat import solve_many
 from .latpair import SpanLattice, Subquotient, subquotient
 
 
@@ -482,13 +482,9 @@ def fp_subgroup(G: FpAbGroup, elements):
     cols.extend(G.relations.columns())
     L = hnf(IntMatrix.from_cols(cols, rows=G.gens) if cols else
             IntMatrix.zeros(G.gens, 0))
-    rel_cols = []
-    for j in range(G.relations.cols):
-        r = G.relations.col(j)
-        c = int_solve(L, r)
-        if c is None:
-            raise RuntimeError("relations not inside subgroup lattice")
-        rel_cols.append(list(c))
+    rel_cols = solve_many(L, G.relations.columns())
+    if None in rel_cols:
+        raise RuntimeError("relations not inside subgroup lattice")
     S = fp_from_presentation(
         L.cols, IntMatrix.from_cols(rel_cols, rows=L.cols)
         if rel_cols else IntMatrix.zeros(L.cols, 0))
@@ -525,18 +521,18 @@ def left_ideals(R: FiniteRing):
 def ideal_module(R: FiniteRing, ideal_elements):
     """A left ideal as a FiniteModule, with its inclusion into R."""
     S, incl = fp_subgroup(R.additive, list(ideal_elements))
+    xs = [R.additive.normal_form(c) for c in incl.matrix.columns()]
+    elems = R.elements()
+    # r·x in generator coordinates of S, for every r and generator x
+    sols = solve_many(incl.matrix.hstack(R.additive.relations),
+                      [R.additive.lift(R.times(r, x))
+                       for r in elems for x in xs])
     action = {}
-    for r in R.elements():
-        cols = []
-        for j in range(S.gens):
-            e = tuple(1 if t == j else 0 for t in range(S.gens))
-            x = R.additive.normal_form(incl.matrix.mul_vec(e))
-            rx = R.times(r, x)
-            c = int_solve(incl.matrix.hstack(R.additive.relations),
-                          R.additive.lift(rx))
-            if c is None:
-                raise InvalidModule("not a left ideal")
-            cols.append(list(c)[:S.gens])
+    for k, r in enumerate(elems):
+        cols = sols[k * S.gens:(k + 1) * S.gens]
+        if None in cols:
+            raise InvalidModule("not a left ideal")
+        cols = [c[:S.gens] for c in cols]
         action[r] = FpMorphism(S, S, IntMatrix.from_cols(
             cols, rows=S.gens) if cols else
             IntMatrix.zeros(S.gens, 0)).check()

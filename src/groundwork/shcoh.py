@@ -29,7 +29,7 @@ from .fpgroup import (FpAbGroup, FpMorphism, fp_direct_sum, fp_from_factors,
                       fp_from_presentation, fp_kernel_cokernel,
                       fp_zero_morphism, fp_exact_at, fp_identity, fp_trivial)
 from .intmat import IntMatrix
-from .intmat import solve as int_solve
+from .intmat import solve_many
 from .latpair import (LatticePairGroup, SpanLattice, latpair_kernel_image,
                       quotient_type)
 from .site import FiniteSpace
@@ -53,25 +53,21 @@ def _fp_sub(f: FpMorphism, g: FpMorphism) -> FpMorphism:
     return FpMorphism(f.source, f.target, f.matrix.add(g.matrix.neg()))
 
 
-def fp_preimage(f: FpMorphism, y: tuple):
-    """One x with f(x) = y (deterministic), or None."""
+def fp_preimages(f: FpMorphism, ys):
+    """One x with f(x) = y (deterministic), or None, for each y in ys."""
     A = f.matrix.hstack(f.target.relations)
-    sol = int_solve(A, f.target.lift(y))
-    if sol is None:
-        return None
-    x = tuple(sol)[:f.source.gens]
-    return f.source.normal_form(x)
+    sols = solve_many(A, [f.target.lift(y) for y in ys])
+    return [None if sol is None else
+            f.source.normal_form(sol[:f.source.gens]) for sol in sols]
 
 
 def _factor_through(incl: FpMorphism, g: FpMorphism) -> FpMorphism:
     """h with incl ∘ h = g, given im(g) ⊆ im(incl)."""
     A = incl.matrix.hstack(incl.target.relations)
-    cols = []
-    for j in range(g.matrix.cols):
-        sol = int_solve(A, g.matrix.col(j))
-        if sol is None:
-            raise SheafError("map does not factor through the subgroup")
-        cols.append(list(sol)[:incl.source.gens])
+    sols = solve_many(A, g.matrix.columns())
+    if None in sols:
+        raise SheafError("map does not factor through the subgroup")
+    cols = [sol[:incl.source.gens] for sol in sols]
     if incl.source.gens == 0 or not cols:
         mat = IntMatrix.zeros(incl.source.gens, g.matrix.cols)
     else:
@@ -556,12 +552,13 @@ def sheaf_cohomology(F, n_max: int) -> CohomologyReport:
     X = cur.space
     gammas = []         # Γ(G^k) = ∏_p hull(stalk_p Q^{k-1}) per level
     sizes = []          # point -> coordinates of that hull
-    for _ in range(n_max + 2):
+    for k in range(n_max + 2):
         hulls = {p: hull_pair(cur.stalks[p]) for p in X.points}
         sizes.append({p: P.ambient for p, P in hulls.items()})
         gammas.append(pair_product([hulls[p] for p in sorted(X.points)])[0])
-        G, e = godement_embedding(cur)
-        cur, _ = pair_sheaf_cokernel(e)
+        if k <= n_max:      # the top level needs only the hulls
+            _, e = godement_embedding(cur)
+            cur, _ = pair_sheaf_cokernel(e)
     out = []
     prev_image = None
     for n in range(n_max + 1):
@@ -709,22 +706,18 @@ def long_exact_sequence(alpha: SheafMap, beta: SheafMap,
     def connecting(n):
         Ks, incl_s = Kdata[2][n]
         Kd, incl_d = Kdata[0][n + 1]
-        cols = []
-        for j in range(Ks.gens):
-            x = Ks.normal_form(tuple(1 if t == j else 0
-                                     for t in range(Ks.gens)))
-            v = incl_s.apply(x)
-            u = fp_preimage(C_beta[n], v)
-            if u is None:
-                raise SheafError("flasque surjectivity failed")
-            w = C_diffs[1][n].apply(u)
-            z = fp_preimage(C_alpha[n + 1], w)
-            if z is None:
-                raise SheafError("zig-zag preimage failed")
-            zk = fp_preimage(incl_d, z)
-            if zk is None:
-                raise SheafError("connecting image not a cocycle")
-            cols.append(list(Kd.lift(zk)))
+        v = [incl_s.apply(Ks.normal_form(e)) for e in
+             IntMatrix.identity(Ks.gens).entries]
+        u = fp_preimages(C_beta[n], v)
+        if None in u:
+            raise SheafError("flasque surjectivity failed")
+        z = fp_preimages(C_alpha[n + 1], [C_diffs[1][n].apply(x) for x in u])
+        if None in z:
+            raise SheafError("zig-zag preimage failed")
+        zk = fp_preimages(incl_d, z)
+        if None in zk:
+            raise SheafError("connecting image not a cocycle")
+        cols = [Kd.lift(x) for x in zk]
         if Kd.gens == 0 or not cols:
             mat = IntMatrix.zeros(Kd.gens, Ks.gens)
         else:

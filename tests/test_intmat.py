@@ -4,14 +4,18 @@ import pytest
 
 from groundwork.intmat import (IntMatrix, det, hnf, hnf_with_transform,
                                inverse_unimodular, is_unimodular, kernel,
-                               lattice_contains, lattices_equal, snf, solve)
+                               lattice_contains, lattices_equal, snf, solve,
+                               solve_many)
 
 
 def check_snf(A):
-    D, U, V = snf(A)
+    D, U, V, U_inv = snf(A)
     assert is_unimodular(U)
     assert is_unimodular(V)
     assert U.mul(A).mul(V).entries == D.entries
+    eye = IntMatrix.identity(A.rows).entries
+    assert U.mul(U_inv).entries == eye
+    assert U_inv.mul(U).entries == eye
     diag = [D[i, i] for i in range(min(A.rows, A.cols))]
     for i in range(A.rows):
         for j in range(A.cols):
@@ -103,6 +107,28 @@ def test_solve():
     assert solve(A, (1, 0)) is None
 
 
+def test_solve_many_matches_solve():
+    rng = random.Random(17)
+    for _ in range(60):
+        m = rng.randint(1, 5)
+        n = rng.randint(0, 5)
+        A = IntMatrix.from_rows(
+            [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)])
+        # right-hand sides in the column lattice, and arbitrary ones
+        bs = [A.mul_vec([rng.randint(-4, 4) for _ in range(n)])
+              for _ in range(3)]
+        bs += [[rng.randint(-9, 9) for _ in range(m)] for _ in range(3)]
+        sols = solve_many(A, bs)
+        assert sols == [solve(A, b) for b in bs]
+        for b, x in zip(bs[:3], sols):
+            assert x is not None and A.mul_vec(x) == tuple(b)
+        assert solve_many(A, []) == []
+    assert solve_many(IntMatrix.from_rows([[2, 0], [0, 3]]),
+                      [(4, 9), (1, 0)]) == [(2, 3), None]
+    empty = IntMatrix.zeros(2, 0)
+    assert solve_many(empty, [(0, 0), (0, 1)]) == [(), None]
+
+
 def test_lattice_contains():
     L = IntMatrix.from_rows([[2, 0], [0, 3]])
     assert lattice_contains(L, (4, 3))
@@ -114,6 +140,8 @@ def test_det_and_inverse():
     assert det(A) == 1
     Ainv = inverse_unimodular(A)
     assert A.mul(Ainv).entries == IntMatrix.identity(2).entries
+    with pytest.raises(ValueError):
+        inverse_unimodular(IntMatrix.from_rows([[2]]))
 
 
 def test_json_round_trip():

@@ -16,7 +16,7 @@ from sympy.matrices.normalforms import smith_normal_form
 
 import groundwork.shcoh as shcoh
 from groundwork.fpgroup import (FpMorphism, fp_direct_sum, fp_from_factors,
-                                fp_identity, fp_zero_morphism)
+                                fp_identity, fp_trivial, fp_zero_morphism)
 from groundwork.intmat import IntMatrix
 from groundwork.latpair import latpair_quotient_type
 from groundwork.shcoh import (AbelianSheaf, NotACover, SheafError, SheafMap,
@@ -415,6 +415,35 @@ def test_les_split_has_zero_connecting_maps():
     les = long_exact_sequence(a, b, 1).verify()
     # maps come in (alpha, beta, delta) triples; delta sits at index 2
     assert is_zero_map(les.maps[2])
+
+
+def test_les_nonzero_connecting_map():
+    # 0 -> j_!Z/2 -> Z/2 -> sky_c Z/2 + sky_d Z/2 -> 0 on the pseudo-circle,
+    # with j the inclusion of the open {a, b}
+    X = pseudo_circle()
+    A, Z = fp_from_factors([2]), fp_trivial()
+    stalks = {p: A if p in ("a", "b") else Z for p in X.points}
+    F1 = validate_sheaf(X, stalks, {
+        (p, q): fp_identity(stalks[p]) if p == q
+        else fp_zero_morphism(stalks[p], stalks[q])
+        for p in X.points for q in X.minimal_open(p)})
+    F = constant_sheaf(X, [2])
+    F2, _, _ = sheaf_direct_sum(skyscraper_sheaf(X, "c", [2]),
+                                skyscraper_sheaf(X, "d", [2]))
+
+    def comp(s, t, on):
+        if on:
+            return FpMorphism(s, t, IntMatrix.identity(1))
+        return fp_zero_morphism(s, t)
+
+    a = SheafMap(F1, F, {p: comp(F1.stalks[p], F.stalks[p], p in ("a", "b"))
+                         for p in X.points}).check()
+    b = SheafMap(F, F2, {p: comp(F.stalks[p], F2.stalks[p], p in ("c", "d"))
+                         for p in X.points}).check()
+    les = long_exact_sequence(a, b, 1).verify()
+    assert [g.iso_type() for g in les.groups] == \
+        ["0", "Z/2", "Z/2 + Z/2", "Z/2 + Z/2", "Z/2", "0"]
+    assert not is_zero_map(les.maps[2])
 
 
 def test_random_ses_long_exact():
