@@ -23,7 +23,7 @@ from .intmat import IntMatrix, hnf
 from .intmat import kernel as int_kernel
 from .intmat import solve as int_solve
 from .intmat import solve_many
-from .ratmat import fr, mat_vec, reduce_mod_span, rref, vec, vis_zero
+from .ratmat import combine, fr, mat_vec, reduce_mod_span, rref, vec, vis_zero
 
 
 class ContainmentError(ValueError):
@@ -38,21 +38,28 @@ def _common_denominator(vectors) -> int:
     return d
 
 
-def _canonical_lattice(cols, ambient):
-    """Canonical generators for the lattice spanned by rational columns.
+def _integral(v, den):
+    """den·v as a list of ints, or None when it is not integral."""
+    out = []
+    for x in map(fr, v):
+        q, r = divmod(den, x.denominator)
+        if r:
+            return None
+        out.append(x.numerator * q)
+    return out
 
-    Returns (canonical_cols, denominator): columns are (1/den)·HNF of the
-    scaled integer lattice; zero columns dropped.
-    """
-    cols = [vec(c) for c in cols if not vis_zero(vec(c))]
-    if not cols:
-        return (), 1
+
+def _scaled(cols, ambient):
+    """(IntMatrix with columns den·c, den) for rational columns c, den
+    their common denominator."""
     den = _common_denominator(cols)
-    int_cols = [[int(x * den) for x in c] for c in cols]
-    H = hnf(IntMatrix.from_cols(int_cols, rows=ambient))
-    out = tuple(tuple(Fraction(H[i, j], den) for i in range(ambient))
-                for j in range(H.cols))
-    return out, den
+    return IntMatrix.from_cols([_integral(c, den) for c in cols],
+                               rows=ambient), den
+
+
+def _columns(H: IntMatrix, den: int) -> tuple:
+    """The columns of H/den as rational vectors."""
+    return tuple(tuple(Fraction(x, den) for x in c) for c in zip(*H.entries))
 
 
 @dataclass(frozen=True)
@@ -67,9 +74,12 @@ class SpanLattice:
     @staticmethod
     def make(ambient, span_vectors=(), lattice_vectors=()) -> "SpanLattice":
         basis, pivots = rref([vec(v) for v in span_vectors])
-        reduced = [reduce_mod_span(basis, pivots, vec(v))
-                   for v in lattice_vectors]
-        lat, _ = _canonical_lattice(reduced, ambient)
+        reduced = [w for w in (reduce_mod_span(basis, pivots, v)
+                               for v in lattice_vectors) if not vis_zero(w)]
+        lat = ()
+        if reduced:
+            H, den = _scaled(reduced, ambient)
+            lat = _columns(hnf(H), den)
         return SpanLattice(ambient, tuple(basis), tuple(pivots), lat)
 
     @staticmethod
@@ -99,28 +109,28 @@ class SpanLattice:
 
     def reduce(self, v) -> tuple:
         """Reduce v modulo the span part."""
-        return reduce_mod_span(self.span, self.span_pivots, vec(v))
+        return reduce_mod_span(self.span, self.span_pivots, v)
 
     def contains(self, v) -> bool:
-        w = self.reduce(v)
-        if vis_zero(w):
+        return self._contains_all([v])
+
+    def contains_group(self, other: "SpanLattice") -> bool:
+        if any(not vis_zero(self.reduce(row)) for row in other.span):
+            return False
+        return self._contains_all(other.lattice)
+
+    def _contains_all(self, vectors) -> bool:
+        """Are all vectors in self?  They are reduced modulo the span, and
+        the nonzero rests solved against one factorization of the
+        lattice."""
+        rests = [w for w in map(self.reduce, vectors) if not vis_zero(w)]
+        if not rests:
             return True
         if not self.lattice:
             return False
-        den = _common_denominator(self.lattice)
-        L = IntMatrix.from_cols(
-            [[int(x * den) for x in c] for c in self.lattice],
-            rows=self.ambient)
-        target = [fr(x) * den for x in w]
-        if any(x.denominator != 1 for x in target):
-            return False
-        return int_solve(L, [int(x) for x in target]) is not None
-
-    def contains_group(self, other: "SpanLattice") -> bool:
-        for row in other.span:
-            if not vis_zero(self.reduce(row)):
-                return False
-        return all(self.contains(c) for c in other.lattice)
+        L, den = _scaled(self.lattice, self.ambient)
+        targets = [_integral(w, den) for w in rests]
+        return None not in targets and None not in solve_many(L, targets)
 
     # -- subgroup algebra --------------------------------------------------
 
@@ -141,51 +151,31 @@ class SpanLattice:
 
     def intersect_subspace(self, k_basis_vectors) -> "SpanLattice":
         """Intersection with the subspace spanned by k_basis_vectors."""
-        K, Kpiv = rref([vec(v) for v in k_basis_vectors])
-        S, Spiv = self.span, self.span_pivots
+        K, _ = rref(k_basis_vectors)
+        S = self.span
         # T = K + S
         T, Tpiv = rref(list(K) + list(S))
         # integer combinations of lattice generators landing in T
-        lat = list(self.lattice)
-        if lat:
-            U_cols = [reduce_mod_span(T, Tpiv, c) for c in lat]
-            den = _common_denominator(U_cols)
-            U = IntMatrix.from_cols(
-                [[int(x * den) for x in c] for c in U_cols],
-                rows=self.ambient)
-            C = int_kernel(U)
-            gens = []
-            for j in range(C.cols):
-                coeffs = C.col(j)
-                x = tuple(sum((fr(coeffs[t]) * lat[t][i]
-                               for t in range(len(lat))), Fraction(0))
-                          for i in range(self.ambient))
+        gens = []
+        if self.lattice:
+            U, _ = _scaled([reduce_mod_span(T, Tpiv, c)
+                            for c in self.lattice], self.ambient)
+            for coeffs in int_kernel(U).columns():
+                x = combine(coeffs, self.lattice, self.ambient)
                 # decompose x = k + s with k in K, s in S; keep k
-                s_part = self._project_onto(S, Spiv, K, Kpiv, x)
-                gens.append(ratmat.vsub(x, s_part))
-        else:
-            gens = []
+                gens.append(ratmat.vsub(x, self._project_onto(S, K, x)))
         # K ∩ S
         ks = _subspace_intersection(K, S, self.ambient)
         return SpanLattice.make(self.ambient, ks, gens)
 
     @staticmethod
-    def _project_onto(S, Spiv, K, Kpiv, x):
+    def _project_onto(S, K, x):
         """Write x in K + S as k + s; return the s component."""
-        # solve for coefficients over the combined basis
-        basis = list(K) + list(S)
-        if not basis:
-            if not vis_zero(x):
-                raise ContainmentError("vector outside K + S")
-            return x
-        rows = ratmat.cols_to_rows([list(b) for b in basis], len(x))
+        rows = ratmat.cols_to_rows(list(K) + list(S), len(x))
         coeffs = ratmat.solve(rows, x)
         if coeffs is None:
             raise ContainmentError("vector outside K + S")
-        s = [Fraction(0)] * len(x)
-        for c, b in zip(coeffs[len(K):], S):
-            s = [si + c * bi for si, bi in zip(s, b)]
-        return tuple(s)
+        return combine(coeffs[len(K):], S, len(x))
 
     def is_full(self) -> bool:
         return self.span_dim() == self.ambient
@@ -218,34 +208,21 @@ class SpanLattice:
 
     def preimage(self, rows, src_ambient: int) -> "SpanLattice":
         """{x in Q^src : rows · x ∈ self}."""
-        # reduce the map modulo the span part of the target
-        M_rows = [self.reduce(row_of_map)
-                  for row_of_map in _map_columns_as_images(rows, src_ambient)]
-        # M maps x to reduce(A x); compute as reduced columns
-        # M_cols[j] = reduce(A e_j)
-        M_cols = M_rows  # each entry is the image of a basis vector
-        ambient_t = self.ambient
-        M_matrix_rows = ratmat.cols_to_rows([list(c) for c in M_cols],
-                                            ambient_t)
-        S0 = ratmat.kernel_basis(M_matrix_rows, src_ambient)
+        # M maps x to reduce(A x); column j of M is reduce(A e_j)
+        M_cols = [self.reduce([row[j] for row in rows])
+                  for j in range(src_ambient)]
+        M_rows = ratmat.cols_to_rows(M_cols, self.ambient)
+        S0 = ratmat.kernel_basis(M_rows, src_ambient)
         # image of M as a subspace
         im_basis, im_piv = rref(M_cols)
         gens = []
-        lat = list(self.lattice)
-        if lat:
+        if self.lattice:
             # integer combos of lattice generators inside im(M)
-            V_cols = [reduce_mod_span(im_basis, im_piv, c) for c in lat]
-            den = _common_denominator(V_cols)
-            V = IntMatrix.from_cols(
-                [[int(x * den) for x in c] for c in V_cols],
-                rows=ambient_t)
-            C = int_kernel(V)
-            for j in range(C.cols):
-                coeffs = C.col(j)
-                d = tuple(sum((fr(coeffs[t]) * lat[t][i]
-                               for t in range(len(lat))), Fraction(0))
-                          for i in range(ambient_t))
-                x = ratmat.solve(M_matrix_rows, d)
+            V, _ = _scaled([reduce_mod_span(im_basis, im_piv, c)
+                            for c in self.lattice], self.ambient)
+            for coeffs in int_kernel(V).columns():
+                x = ratmat.solve(
+                    M_rows, combine(coeffs, self.lattice, self.ambient))
                 if x is None:
                     raise ContainmentError(
                         "lattice generator not in the image")
@@ -253,28 +230,14 @@ class SpanLattice:
         return SpanLattice.make(src_ambient, S0, gens)
 
 
-def _map_columns_as_images(rows, src_ambient):
-    """Columns of the matrix given by rows (images of basis vectors)."""
-    cols = []
-    for j in range(src_ambient):
-        cols.append(tuple(fr(row[j]) for row in rows))
-    return cols
-
-
 def _subspace_intersection(A, B, ambient):
     """Basis of span(A) ∩ span(B) from bases A, B (lists of rows)."""
     if not A or not B:
         return []
-    cols = [list(a) for a in A] + [[-x for x in b] for b in B]
+    cols = list(A) + [[-x for x in b] for b in B]
     rows = ratmat.cols_to_rows(cols, ambient)
-    ker = ratmat.kernel_basis(rows, len(cols))
-    out = []
-    for k in ker:
-        v = [Fraction(0)] * ambient
-        for c, a in zip(k[:len(A)], A):
-            v = [vi + c * ai for vi, ai in zip(v, a)]
-        out.append(tuple(v))
-    return out
+    return [combine(k[:len(A)], A, ambient)
+            for k in ratmat.kernel_basis(rows, len(cols))]
 
 
 @dataclass(frozen=True)
@@ -325,28 +288,29 @@ def quotient_type(num: SpanLattice, den: SpanLattice) -> GroupType:
     X = den.intersect_subspace([list(r) for r in num.span])
     q_dim = num.span_dim() - X.span_dim()
     s = X.lattice_rank()
-    q_rank = q_dim - s
-    qz_rank = s
-    # discrete part: lattice of num modulo (span(num) + den)
-    lam_n = [num.reduce(c) for c in num.lattice]
-    lam_d = [num.reduce(c) for c in den.lattice]
-    lam_n_canon, den_n = _canonical_lattice(lam_n, num.ambient)
-    if not lam_n_canon:
-        return GroupType(q_rank, qz_rank, 0, ())
-    B = IntMatrix.from_cols(
-        [[int(x * den_n) for x in c] for c in lam_n_canon], rows=num.ambient)
-    targets = [[fr(x) * den_n for x in c] for c in lam_d]
-    if any(x.denominator != 1 for t in targets for x in t):
-        raise ContainmentError("denominator lattice outside numerator")
-    rel_cols = solve_many(B, [[int(x) for x in t] for t in targets])
+    if not num.lattice:
+        return GroupType(q_dim - s, s, 0, ())
+    _, _, G = _discrete_part(num, den)
+    return GroupType(q_dim - s, s, G.free_rank(),
+                     tuple(d for d in G.invariant_factors if d != 0))
+
+
+def _discrete_part(num: SpanLattice, den: SpanLattice):
+    """(B, den_n, G): the lattice of num modulo span(num) + den, presented
+    as G on the columns of B/den_n, which are num's lattice generators.
+
+    num's lattice is already reduced modulo its span and Hermite-reduced,
+    so B is its scaled integer matrix as it stands.
+    """
+    B, den_n = _scaled(num.lattice, num.ambient)
+    targets = [_integral(num.reduce(c), den_n) for c in den.lattice]
+    rel_cols = [None] if None in targets else solve_many(B, targets)
     if None in rel_cols:
         raise ContainmentError("denominator lattice outside numerator")
     t = B.cols
-    G = fp_from_presentation(
-        t, IntMatrix.from_cols(rel_cols, rows=t)
-        if rel_cols else IntMatrix.zeros(t, 0))
-    return GroupType(q_rank, qz_rank, G.free_rank(),
-                     tuple(d for d in G.invariant_factors if d != 0))
+    rels = IntMatrix.from_cols(rel_cols, rows=t) if t \
+        else IntMatrix.zeros(0, 0)
+    return B, den_n, fp_from_presentation(t, rels)
 
 
 @dataclass(frozen=True)
@@ -365,26 +329,21 @@ class Subquotient:
 
     def element_of(self, v) -> tuple:
         """Canonical group element represented by vector v ∈ num."""
-        w = self.num.reduce(vec(v))
+        w = self.num.reduce(v)
         if self._basis_int.cols == 0:
             if not vis_zero(w):
                 raise ContainmentError("vector not in the numerator")
             return self.group.zero()
-        target = [fr(x) * self._den_scale for x in w]
-        if any(x.denominator != 1 for x in target):
-            raise ContainmentError("vector not in the numerator")
-        sol = int_solve(self._basis_int, [int(x) for x in target])
+        target = _integral(w, self._den_scale)
+        sol = None if target is None else int_solve(self._basis_int, target)
         if sol is None:
             raise ContainmentError("vector not in the numerator")
         return self.group.normal_form(sol)
 
     def vector_of(self, elem: tuple) -> tuple:
         """A representative vector for a canonical group element."""
-        coeffs = self.group.lift(elem)
-        v = [Fraction(0)] * self.num.ambient
-        for c, g in zip(coeffs, self.generators):
-            v = [vi + c * gi for vi, gi in zip(v, g)]
-        return tuple(v)
+        return combine(self.group.lift(elem), self.generators,
+                       self.num.ambient)
 
 
 def subquotient(num: SpanLattice, den: SpanLattice) -> Subquotient:
@@ -395,24 +354,8 @@ def subquotient(num: SpanLattice, den: SpanLattice) -> Subquotient:
         if not vis_zero(den.reduce(row)):
             raise ContainmentError(
                 "quotient has a divisible part; not discrete")
-    lam_n = [num.reduce(c) for c in num.lattice]
-    lam_n_canon, den_n = _canonical_lattice(lam_n, num.ambient)
-    B = IntMatrix.from_cols(
-        [[int(x * den_n) for x in c] for c in lam_n_canon],
-        rows=num.ambient) if lam_n_canon else IntMatrix.zeros(num.ambient, 0)
-    targets = [[fr(x) * den_n for x in num.reduce(c)] for c in den.lattice]
-    if any(x.denominator != 1 for t in targets for x in t):
-        raise ContainmentError("denominator lattice outside numerator")
-    rel_cols = solve_many(B, [[int(x) for x in t] for t in targets])
-    if None in rel_cols:
-        raise ContainmentError("denominator lattice outside numerator")
-    t = B.cols
-    G = fp_from_presentation(
-        t, IntMatrix.from_cols(rel_cols, rows=t)
-        if rel_cols and t else IntMatrix.zeros(t, 0))
-    gens = tuple(tuple(Fraction(B[i, j], den_n) for i in range(num.ambient))
-                 for j in range(t))
-    return Subquotient(num, den, G, gens, B, den_n)
+    B, den_n, G = _discrete_part(num, den)
+    return Subquotient(num, den, G, _columns(B, den_n), B, den_n)
 
 
 def induced_morphism(rows, src: Subquotient, dst: Subquotient) -> FpMorphism:
@@ -421,19 +364,10 @@ def induced_morphism(rows, src: Subquotient, dst: Subquotient) -> FpMorphism:
     The matrix must map src.num into dst.num and src.den into dst.den;
     ContainmentError otherwise.
     """
-    cols = []
-    for g in src.generators:
-        img = mat_vec(rows, g)
-        e = dst.element_of(img)
-        cols.append(list(dst.group.lift(e)))
-    for c in src.den.lattice:
-        img = mat_vec(rows, c)
-        if not dst.den.contains(img):
-            raise ContainmentError("map does not preserve denominators")
-    for r in src.den.span:
-        img = mat_vec(rows, r)
-        if not dst.den.contains(img):
-            raise ContainmentError("map does not preserve denominators")
+    cols = [list(dst.group.lift(dst.element_of(mat_vec(rows, g))))
+            for g in src.generators]
+    if not dst.den.contains_group(src.den.image(rows)):
+        raise ContainmentError("map does not preserve denominators")
     mat = IntMatrix.from_cols(cols, rows=dst.group.gens) if cols \
         else IntMatrix.zeros(dst.group.gens, 0)
     return FpMorphism(src.group, dst.group, mat).check()

@@ -2,12 +2,21 @@
 
 Vectors are tuples of Fraction; a subspace is handled through its canonical
 reduced-row-echelon basis, which doubles as the equality test.
+
+Zero-skip contract: the kernels below touch only nonzero entries.  A zero
+term is never multiplied or added, a coefficient of 1 copies its vector
+entry instead of multiplying it, and a pivot of 1 is not divided by.  The
+arithmetic is exact, so this changes no value, only the work: a 0/1
+block-copy matrix costs one addition per row.  Inputs may mix int and
+Fraction; every entry returned is a Fraction, and a sum of no terms is
+Fraction(0).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 Vec = tuple
+ZERO = Fraction(0)
 
 
 def fr(x) -> Fraction:
@@ -23,12 +32,31 @@ def vsub(a: Vec, b: Vec) -> Vec:
 
 
 def vis_zero(a: Vec) -> bool:
-    return all(x == 0 for x in a)
+    return not any(a)
 
 
 def mat_vec(rows, v: Vec) -> Vec:
-    return tuple(sum((fr(a) * x for a, x in zip(row, v)), Fraction(0))
-                 for row in rows)
+    v = vec(v)
+    out = []
+    for row in rows:
+        acc = None
+        for a, x in zip(row, v):
+            if a and x:
+                t = x if a == 1 else a * x
+                acc = t if acc is None else acc + t
+        out.append(ZERO if acc is None else acc)
+    return tuple(out)
+
+
+def combine(coeffs, vectors, n: int) -> Vec:
+    """The linear combination sum of c·v over zip(coeffs, vectors) in Q^n."""
+    out = [ZERO] * n
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for j, x in enumerate(v):
+                if x:
+                    out[j] += x if c == 1 else c * x
+    return tuple(out)
 
 
 def rref(rows):
@@ -40,16 +68,21 @@ def rref(rows):
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(M)) if M[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(M)) if M[i][c]), None)
         if pivot is None:
             continue
         M[r], M[pivot] = M[pivot], M[r]
         pv = M[r][c]
-        M[r] = [x / pv for x in M[r]]
+        if pv != 1:
+            M[r] = [x / pv if x else x for x in M[r]]
+        prow = M[r]
+        nz = [(j, y) for j, y in enumerate(prow) if y]
         for i in range(len(M)):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+            f = M[i][c]
+            if f and i != r:
+                row = M[i]
+                for j, y in nz:
+                    row[j] -= f * y
         pivots.append(c)
         r += 1
         if r == len(M):
@@ -63,11 +96,13 @@ def reduce_mod_span(basis, pivots, v: Vec) -> Vec:
     basis must be in RREF with the given pivot columns; the result has zeros
     at every pivot coordinate and vanishes exactly on the span.
     """
-    w = list(v)
+    w = list(vec(v))
     for row, p in zip(basis, pivots):
         c = w[p]
-        if c != 0:
-            w = [x - c * y for x, y in zip(w, row)]
+        if c:
+            for j, y in enumerate(row):
+                if y:
+                    w[j] -= c * y
     return tuple(w)
 
 
@@ -77,10 +112,11 @@ def kernel_basis(rows, ncols: int):
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        v = [Fraction(0)] * ncols
+        v = [ZERO] * ncols
         v[f] = Fraction(1)
         for row, p in zip(red, pivots):
-            v[p] = -row[f]
+            if row[f]:
+                v[p] = -row[f]
         basis.append(tuple(v))
     return basis
 
@@ -90,20 +126,14 @@ def solve(rows, b: Vec):
     if not rows:
         return None
     ncols = len(rows[0])
-    aug = [list(map(fr, row)) + [fr(bv)] for row, bv in zip(rows, b)]
+    aug = [list(row) + [bv] for row, bv in zip(rows, b)]
     red, pivots = rref(aug)
-    x = [Fraction(0)] * ncols
+    x = [ZERO] * ncols
     for row, p in zip(red, pivots):
         if p == ncols:
             return None  # pivot in the augmented column: inconsistent
         x[p] = row[ncols]
     return tuple(x)
-
-
-def transpose(rows):
-    if not rows:
-        return []
-    return [tuple(row[j] for row in rows) for j in range(len(rows[0]))]
 
 
 def cols_to_rows(cols, nrows: int):

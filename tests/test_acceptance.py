@@ -176,8 +176,13 @@ def test_criterion_05_cohomology_of_finite_models():
     oracle = test_shcoh.simplicial_mod_n_factors(sphere, 2, 2)
     assert test_shcoh.report_multisets(rep) == \
         [test_shcoh.prime_power_multiset(f) for f in oracle]
-    _report(5, "pseudo-circle Z/n (n=2,3,4) and pseudo-sphere Z/2 match "
-            "the simplicial SNF oracle exactly")
+    rep = sheaf_cohomology(constant_sheaf(sphere, [2]), 3)
+    assert rep.lines() == ["H^0 = Z/2", "H^1 = 0", "H^2 = Z/2", "H^3 = 0"]
+    oracle = test_shcoh.simplicial_mod_n_factors(sphere, 2, 3)
+    assert test_shcoh.report_multisets(rep) == \
+        [test_shcoh.prime_power_multiset(f) for f in oracle]
+    _report(5, "pseudo-circle Z/n (n=2,3,4) to degree 2 and pseudo-sphere "
+            "Z/2 to degree 3 match the simplicial SNF oracle exactly")
 
 
 def test_criterion_06_cech_derived_agreement():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -162,3 +163,80 @@ def test_induced_morphism_two_coordinates():
 def test_from_int_lattice():
     L = IntMatrix.from_rows([[2, 0], [0, 3]])
     assert SpanLattice.from_int_lattice(L) == lat((2, 0), (0, 3))
+
+
+def test_induced_morphism_rejects_divisible_denominator_outside():
+    # Q/Q -> (1/2)Z/Z by the identity: Q is not inside Z, although each
+    # span row of Q, taken as a single vector, is
+    Q = SpanLattice.make(1, span_vectors=[(1,)])
+    src = subquotient(Q, Q)
+    dst = subquotient(lat((F(1, 2),)), lat((1,)))
+    with pytest.raises(ContainmentError):
+        induced_morphism([(1,)], src, dst)
+
+
+def _random_vector(rng, n):
+    return [rng.choice([0, 0, 1, -1, 2, 3, F(1, 2), F(-2, 3), F(3, 4)])
+            for _ in range(n)]
+
+
+def _random_group(rng, n):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return SpanLattice.zero(n)
+    spans = [_random_vector(rng, n) for _ in range(rng.randint(0, 2))]
+    if kind == 1:
+        return SpanLattice.make(n, span_vectors=spans)
+    lats = [_random_vector(rng, n) for _ in range(rng.randint(1, 3))]
+    return SpanLattice.make(n, spans if kind == 3 else (), lats)
+
+
+def _random_subgroup(rng, A):
+    """A subgroup of A: some of its span rows, and integer multiples of
+    its lattice generators shifted by a span row."""
+    shift = A.span[0] if A.span else [0] * A.ambient
+    spans = [r for r in A.span if rng.random() < 0.5]
+    lats = [[rng.randint(-2, 2) * x + y for x, y in zip(c, shift)]
+            for c in A.lattice]
+    return SpanLattice.make(A.ambient, spans, lats)
+
+
+def test_membership_matches_canonical_form_oracle():
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        A = _random_group(rng, n)
+        B = _random_subgroup(rng, A) if rng.random() < 0.4 \
+            else _random_group(rng, n)
+        want = A.add(B) == A
+        assert A.contains_group(B) == want
+        seen.add(want)
+        for _ in range(3):
+            v = _random_vector(rng, n)
+            if A.lattice and rng.random() < 0.3:
+                v = [x * rng.randint(-2, 2) for x in A.lattice[0]]
+            got = A.contains(v)
+            assert got == A.contains_group(
+                SpanLattice.make(n, lattice_vectors=[v]))
+            assert got == (A.add(SpanLattice.make(
+                n, lattice_vectors=[v])) == A)
+            seen.add(("v", got))
+    assert seen == {True, False, ("v", True), ("v", False)}
+
+
+def test_membership_edge_cases():
+    Z = lat((1, 0), (0, 1))
+    # non-integral target against an integral lattice
+    assert not Z.contains((F(1, 2), 0))
+    assert not Z.contains_group(lat((F(1, 3), 1)))
+    # empty lattice: only the span counts
+    line = SpanLattice.make(2, span_vectors=[(1, 1)])
+    assert line.contains((F(5, 7), F(5, 7)))
+    assert not line.contains((1, 0))
+    assert line.contains_group(SpanLattice.make(2, [(2, 2)], [(3, 3)]))
+    assert not line.contains_group(Z)
+    # span-only groups inside a lattice: a line is never inside Z^2
+    assert not Z.contains_group(SpanLattice.make(2, span_vectors=[(1, 0)]))
+    assert Z.contains_group(SpanLattice.zero(2))
+    assert SpanLattice.zero(2).contains((0, 0))
