@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratmat
-from .fpgroup import FpAbGroup, FpMorphism, fp_from_presentation
+from .fpgroup import FpAbGroup, fp_from_presentation
 from .intmat import IntMatrix, hnf
 from .intmat import kernel as int_kernel
-from .intmat import solve as int_solve
 from .intmat import solve_many
 from .ratmat import combine, fr, mat_vec, reduce_mod_span, rref, vec, vis_zero
 
@@ -91,10 +90,6 @@ class SpanLattice:
         eye = [[1 if i == j else 0 for j in range(ambient)]
                for i in range(ambient)]
         return SpanLattice.make(ambient, span_vectors=eye)
-
-    @staticmethod
-    def from_int_lattice(L: IntMatrix) -> "SpanLattice":
-        return SpanLattice.make(L.rows, lattice_vectors=L.columns())
 
     # -- basic structure ---------------------------------------------------
 
@@ -290,17 +285,17 @@ def quotient_type(num: SpanLattice, den: SpanLattice) -> GroupType:
     s = X.lattice_rank()
     if not num.lattice:
         return GroupType(q_dim - s, s, 0, ())
-    _, _, G = _discrete_part(num, den)
+    G = _discrete_part(num, den)
     return GroupType(q_dim - s, s, G.free_rank(),
                      tuple(d for d in G.invariant_factors if d != 0))
 
 
-def _discrete_part(num: SpanLattice, den: SpanLattice):
-    """(B, den_n, G): the lattice of num modulo span(num) + den, presented
-    as G on the columns of B/den_n, which are num's lattice generators.
+def _discrete_part(num: SpanLattice, den: SpanLattice) -> FpAbGroup:
+    """The lattice of num modulo span(num) + den, presented on num's
+    lattice generators.
 
     num's lattice is already reduced modulo its span and Hermite-reduced,
-    so B is its scaled integer matrix as it stands.
+    so its scaled integer matrix is a basis as it stands.
     """
     B, den_n = _scaled(num.lattice, num.ambient)
     targets = [_integral(num.reduce(c), den_n) for c in den.lattice]
@@ -310,67 +305,7 @@ def _discrete_part(num: SpanLattice, den: SpanLattice):
     t = B.cols
     rels = IntMatrix.from_cols(rel_cols, rows=t) if t \
         else IntMatrix.zeros(0, 0)
-    return B, den_n, fp_from_presentation(t, rels)
-
-
-@dataclass(frozen=True)
-class Subquotient:
-    """A discrete (no divisible part) subquotient num/den with coordinates.
-
-    group: the abstract FpAbGroup; generators: rational vectors in num
-    projecting to the group generators; log: see element_of.
-    """
-    num: SpanLattice
-    den: SpanLattice
-    group: FpAbGroup
-    generators: tuple   # rational vectors
-    _basis_int: IntMatrix
-    _den_scale: int
-
-    def element_of(self, v) -> tuple:
-        """Canonical group element represented by vector v ∈ num."""
-        w = self.num.reduce(v)
-        if self._basis_int.cols == 0:
-            if not vis_zero(w):
-                raise ContainmentError("vector not in the numerator")
-            return self.group.zero()
-        target = _integral(w, self._den_scale)
-        sol = None if target is None else int_solve(self._basis_int, target)
-        if sol is None:
-            raise ContainmentError("vector not in the numerator")
-        return self.group.normal_form(sol)
-
-    def vector_of(self, elem: tuple) -> tuple:
-        """A representative vector for a canonical group element."""
-        return combine(self.group.lift(elem), self.generators,
-                       self.num.ambient)
-
-
-def subquotient(num: SpanLattice, den: SpanLattice) -> Subquotient:
-    """Present num/den as an FpAbGroup (requires trivial divisible part)."""
-    if not num.contains_group(den):
-        raise ContainmentError("denominator subgroup not inside numerator")
-    for row in num.span:
-        if not vis_zero(den.reduce(row)):
-            raise ContainmentError(
-                "quotient has a divisible part; not discrete")
-    B, den_n, G = _discrete_part(num, den)
-    return Subquotient(num, den, G, _columns(B, den_n), B, den_n)
-
-
-def induced_morphism(rows, src: Subquotient, dst: Subquotient) -> FpMorphism:
-    """Morphism of subquotients induced by the matrix with the given rows.
-
-    The matrix must map src.num into dst.num and src.den into dst.den;
-    ContainmentError otherwise.
-    """
-    cols = [list(dst.group.lift(dst.element_of(mat_vec(rows, g))))
-            for g in src.generators]
-    if not dst.den.contains_group(src.den.image(rows)):
-        raise ContainmentError("map does not preserve denominators")
-    mat = IntMatrix.from_cols(cols, rows=dst.group.gens) if cols \
-        else IntMatrix.zeros(dst.group.gens, 0)
-    return FpMorphism(src.group, dst.group, mat).check()
+    return fp_from_presentation(t, rels)
 
 
 # -- the spec-level value type --------------------------------------------

@@ -6,10 +6,17 @@ axioms (unit, both distributive laws, associativity of scalars) are checked
 exhaustively over ring elements and group generators.
 
 Injective objects are produced by the two-step embedding: embed the
-additive group in a divisible group (free group on the elements, tensored
-with Q, modulo the relation lattice), then coinduce: Hom_Z(R, D) with the
-action (r·f)(x) = f(r·x).  Coinduced modules of divisible groups are
-injective, which Baer's criterion verifies independently.
+additive group in a divisible group D = Q^n/K (free group on the elements,
+tensored with Q, modulo the relation lattice K, of full rank), then
+coinduce: Hom_Z(R, D) with the action (r·f)(x) = f(r·x).  Coinduced
+modules of divisible groups are injective, which Baer's criterion verifies
+independently.
+
+Coinduction is integer arithmetic.  Let g_i be R's Smith generators, of
+orders d_i.  f is fixed by the f(g_i), which lie in the d_i-torsion
+(1/d_i)K/K of D; y -> (1/d_i)·K·y identifies that with (Z/d_i)^n.  So
+Hom_Z(R, D) = ⊕_i (Z/d_i)^n, and r acts by the block matrix whose (j, i)
+block is (c_ij·d_j/d_i)·I, where c_ij is the g_i-coordinate of r·g_j.
 
 Stage zero of a resolution uses the hull on all module elements; later
 stages use the hull on a minimal generating set — the element-based hull
@@ -20,14 +27,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fpgroup import (FpAbGroup, FpMorphism, fp_direct_sum, fp_exact_at,
                       fp_free, fp_from_factors, fp_from_presentation,
                       fp_hom_group, fp_kernel_cokernel)
-from .intmat import IntMatrix, hnf
-from .intmat import solve_many
-from .latpair import SpanLattice, Subquotient, subquotient
+from .intmat import IntMatrix, det, hnf, solve_many
 
 
 class InvalidRing(ValueError):
@@ -193,21 +197,26 @@ def module_from_integer_action(ring: FiniteRing, additive: FpAbGroup,
 
 
 def zmod_module(ring: FiniteRing, k: int) -> FiniteModule:
-    """Z/k as a module where r acts by its image in Z/k (must be legal)."""
+    """Z/k as a module where r acts through the ring homomorphism R -> Z/k,
+    which must exist and be unique."""
     G = fp_from_factors([k])
+    H, decode = fp_hom_group(ring.additive, G)
 
-    def scalar(r):
-        # the integer seen by Z/k: ring element as sum of 1s
-        n = 0
-        acc = ring.zero()
-        while acc != r:
-            acc = ring.additive.add(acc, ring.one)
-            n += 1
-            if n > ring.additive.order():
-                raise InvalidModule("ring element not a multiple of 1")
-        return n
+    def value(x):
+        return G.lift(x)[0]
 
-    return module_from_integer_action(ring, G, scalar)
+    # phi(ab) = phi(a)·phi(b) is biadditive, so generators suffice
+    gens = [ring.additive.generator(i)
+            for i in range(len(ring.additive.invariant_factors))]
+    homs = [phi for phi in map(decode, H.elements())
+            if phi.apply(ring.one) == G.normal_form((1,)) and all(
+                G.normal_form((value(phi.apply(a)) * value(phi.apply(b)),))
+                == phi.apply(ring.times(a, b)) for a in gens for b in gens)]
+    if len(homs) != 1:
+        raise InvalidModule("Z/%d: %d ring homomorphisms %s -> Z/%d, "
+                            "need exactly one" % (k, len(homs), ring.name, k))
+    return module_from_integer_action(
+        ring, G, lambda r: value(homs[0].apply(r)))
 
 
 def regular_module(R: FiniteRing) -> FiniteModule:
@@ -268,16 +277,13 @@ def is_r_linear(h: FpMorphism, source: FiniteModule,
 class DivisibleGroup:
     """Q^dim modulo the column lattice K (a divisible abelian group)."""
     dim: int
-    lattice: IntMatrix      # K in canonical HNF, dim rows
+    lattice: IntMatrix      # K in canonical HNF, dim × dim of full rank
 
-    def torsion_subquotient(self, d: int) -> Subquotient:
-        """The d-torsion subgroup {v : d·v ∈ K}/K as a finite group."""
-        num = SpanLattice.make(
-            self.dim,
-            lattice_vectors=[[Fraction(x, d) for x in self.lattice.col(j)]
-                             for j in range(self.lattice.cols)])
-        den = SpanLattice.from_int_lattice(self.lattice)
-        return subquotient(num, den)
+    def __post_init__(self):
+        K = self.lattice
+        if K.rows != self.dim or K.cols != self.dim or det(K) == 0:
+            raise ValueError("hull lattice must be %d × %d of full rank"
+                             % (self.dim, self.dim))
 
 
 def divisible_hull(M: FpAbGroup):
@@ -321,92 +327,66 @@ def divisible_hull_generators(M: FpAbGroup):
 
 @dataclass(frozen=True, eq=False)
 class CoinducedModule:
-    """Hom_Z(R, D) with (r·f)(x) = f(r·x), as a FiniteModule plus decoding.
+    """Hom_Z(R, D) with (r·f)(x) = f(r·x), as a FiniteModule.
 
-    An element is a tuple of torsion classes (one per invariant factor of
-    R's additive group); decode yields the list of representative vectors
-    in the hull's ambient Q^dim.
+    Block i of an element holds the coordinates y of f(g_i) = (1/d_i)·K·y,
+    y in (Z/d_i)^dim, for R's Smith generators g_i of order d_i.
     """
     module: FiniteModule
     hull: DivisibleGroup
-    parts: tuple            # Subquotient per ring invariant factor
-    _incs: tuple
-    _projs: tuple
-
-    def decode(self, elem):
-        out = []
-        for part, proj in zip(self.parts, self._projs):
-            out.append(part.vector_of(proj.apply(elem)))
-        return out
-
-    def encode(self, vectors):
-        H = self.module.additive
-        acc = H.zero()
-        for part, inc, v in zip(self.parts, self._incs, vectors):
-            acc = H.add(acc, inc.apply(part.element_of(v)))
-        return acc
 
 
 def coinduced(R: FiniteRing, D: DivisibleGroup,
               cap=DEFAULT_ELEMENT_CAP) -> CoinducedModule:
     factors = list(R.additive.invariant_factors)
-    parts = [D.torsion_subquotient(d) for d in factors]
     size = 1
-    for p in parts:
-        size *= p.group.order()
+    for d in factors:
+        size *= d ** D.dim
         if size > cap:
             raise ResourceCap("coinduced module would exceed %d elements"
                               % cap)
-    H, incs, projs = fp_direct_sum([p.group for p in parts])
-    k = len(factors)
+    n, k = D.dim, len(factors)
+    H = fp_from_factors([d for d in factors for _ in range(n)])
     action = {}
     for r in R.elements():
-        # r·g_j expanded over the smith generators of R
-        coeffs = [R.times(r, R.additive.generator(j)) for j in range(k)]
-        cols = []
-        for i in range(k):          # which part the hom-generator lives in
-            for g in range(parts[i].group.gens):
-                vec_i = parts[i].vector_of(
-                    parts[i].group.normal_form(
-                        tuple(1 if t == g else 0
-                              for t in range(parts[i].group.gens))))
-                new_vectors = []
-                for j in range(k):
-                    c = coeffs[j][i]     # coefficient of g_i in r·g_j
-                    new_vectors.append(tuple(Fraction(c) * x
-                                             for x in vec_i))
-                img = H.zero()
-                for part, inc, v in zip(parts, incs, new_vectors):
-                    img = H.add(img, inc.apply(part.element_of(v)))
-                cols.append(list(H.lift(img)))
-        mat = IntMatrix.from_cols(cols, rows=H.gens) if cols else \
-            IntMatrix.zeros(H.gens, 0)
-        action[r] = FpMorphism(H, H, mat).check()
-    module = validate_module(R, H, action)
-    return CoinducedModule(module, D, tuple(parts), tuple(incs),
-                           tuple(projs))
+        # (r·f)(g_j) = Σ_i c_ij·f(g_i), c_ij the g_i-coordinate of r·g_j;
+        # d_i divides c_ij·d_j because d_j kills r·g_j
+        rows = [[0] * (k * n) for _ in range(k * n)]
+        for j in range(k):
+            c = R.times(r, R.additive.generator(j))
+            for i in range(k):
+                scale = c[i] * factors[j] // factors[i]
+                for a in range(n):
+                    rows[j * n + a][i * n + a] = scale
+        action[r] = FpMorphism(H, H, IntMatrix.from_rows(rows)).check()
+    return CoinducedModule(validate_module(R, H, action), D)
 
 
 def unit_embedding(M: FiniteModule, D: DivisibleGroup, iota,
                    C: CoinducedModule) -> FpMorphism:
-    """m -> (r -> iota(r·m)), the unit M -> Hom_Z(R, M_d); monic, R-linear."""
+    """m -> (r -> iota(r·m)), the unit M -> Hom_Z(R, M_d); monic, R-linear.
+
+    iota(g_i·m) is d_i-torsion in D, so its block holds K⁻¹(d_i·iota(g_i·m))
+    mod d_i; every block of every generator is solved against one
+    factorization of K.
+    """
     R = M.ring
-    k = len(R.additive.invariant_factors)
+    factors = list(R.additive.invariant_factors)
     H = C.module.additive
+    gens = [M.additive.normal_form(
+        tuple(1 if t == j else 0 for t in range(M.additive.gens)))
+        for j in range(M.additive.gens)]
+    targets = [[d * x for x in iota(M.act(R.additive.generator(i), m))]
+               for m in gens for i, d in enumerate(factors)]
+    sols = solve_many(D.lattice, targets)
+    if None in sols:
+        raise RuntimeError("hull vector is not torsion of the ring's order")
     cols = []
-    for j in range(M.additive.gens):
-        e = tuple(1 if t == j else 0 for t in range(M.additive.gens))
-        m = M.additive.normal_form(e)
-        vectors = []
-        for i in range(k):
-            rm = M.act(R.additive.generator(i), m)
-            vectors.append(tuple(Fraction(x) for x in iota(rm)))
-        cols.append(list(H.lift(C.encode(vectors))))
-    if H.gens == 0 or M.additive.gens == 0:
-        mat = IntMatrix.zeros(H.gens, M.additive.gens)
-    else:
-        mat = IntMatrix.from_cols(cols, rows=H.gens)
-    f = FpMorphism(M.additive, H, mat).check()
+    for j in range(len(gens)):
+        blocks = sols[j * len(factors):(j + 1) * len(factors)]
+        cols.append([y % d for d, ys in zip(factors, blocks) for y in ys])
+    f = FpMorphism(M.additive, H,
+                   IntMatrix.from_cols(cols, rows=H.gens)).check()
     if not f.is_monic():
         raise InvalidModule("unit embedding is not monic")
     if not is_r_linear(f, M, C.module):

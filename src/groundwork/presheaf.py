@@ -440,20 +440,38 @@ def generator_property_check(F: Presheaf, G: Presheaf) -> bool:
 # -- Kan extensions along a functor u : C -> C' ------------------------------
 
 
+def _restricted_id(c, e) -> str:
+    """Id of e ∈ F(u(c)) as an element of (u^*F)(c); keeps fibers
+    disjoint."""
+    return "%s|%s" % (c, e)
+
+
+def _restricted_elem(elem_id: str) -> str:
+    """The element of F(u(c)) that a (u^*F)(c) id names."""
+    return elem_id.split("|", 1)[1]
+
+
+def _transformation_id(cp, t) -> str:
+    """Id of the element of (u_*G)(c') with assignment table t."""
+    return "{%s;%s}" % (cp, ",".join(
+        "%s|%s>%s" % (c, a, v) for (c, a), v in sorted(t.items())))
+
+
 def u_star(u: FinFunctor, F: Presheaf) -> Presheaf:
     """Restriction u^*F on C of a presheaf F on C': (u^*F)(c) = F(u(c)).
 
-    Element ids are "c|elem" to keep fibers disjoint.
+    Element ids are _restricted_id(c, elem).
     """
     C = u.source
-    fibers = {c: tuple("%s|%s" % (c, e) for e in F.fibers[u.on_object(c)])
+    fibers = {c: tuple(_restricted_id(c, e)
+                       for e in F.fibers[u.on_object(c)])
               for c in C.objects}
     action = {}
     for f in C.arrows:
         uf = u.on_arrow(f)
         for e in F.fibers[u.on_object(C.cod[f])]:
-            action[("%s|%s" % (C.cod[f], e), f)] = \
-                "%s|%s" % (C.dom[f], F.action[(e, uf)])
+            action[(_restricted_id(C.cod[f], e), f)] = \
+                _restricted_id(C.dom[f], F.action[(e, uf)])
     return Presheaf(C, fibers, action)
 
 
@@ -523,9 +541,9 @@ def u_shriek(u: FinFunctor, G: Presheaf):
 def u_lower_star(u: FinFunctor, G: Presheaf):
     """Right Kan extension u_*G on C' (right adjoint to u^*).
 
-    (u_*G)(c') = Nat(u^*(R_{c'}), G); elements are canonical strings of the
-    transformation's assignment table.  Returns (presheaf, trans_of) where
-    trans_of(c', elem_id) recovers the assignment {(c, arrow): elem of G}.
+    (u_*G)(c') = Nat(u^*(R_{c'}), G); elements are named by
+    _transformation_id.  Returns (presheaf, trans_of) where
+    trans_of(elem_id) recovers the assignment {(c, arrow): elem of G}.
     """
     C, Cp = u.source, u.target
     tables = {}     # cp -> list of assignment dicts {(c, a): g_elem}
@@ -552,13 +570,10 @@ def u_lower_star(u: FinFunctor, G: Presheaf):
                     found.append(t)
         tables[cp] = found
 
-    def name(cp, t):
-        return "{%s;%s}" % (cp, ",".join(
-            "%s|%s>%s" % (c, a, v) for (c, a), v in sorted(t.items())))
-
-    fibers = {cp: tuple(name(cp, t) for t in tables[cp])
+    fibers = {cp: tuple(_transformation_id(cp, t) for t in tables[cp])
               for cp in Cp.objects}
-    trans = {name(cp, t): t for cp in Cp.objects for t in tables[cp]}
+    trans = {_transformation_id(cp, t): t
+             for cp in Cp.objects for t in tables[cp]}
     action = {}
     for g in Cp.arrows:
         cpp, cp = Cp.dom[g], Cp.cod[g]
@@ -566,7 +581,8 @@ def u_lower_star(u: FinFunctor, G: Presheaf):
             t2 = {(c, b): t[(c, Cp.compose(g, b))]
                   for c in C.objects
                   for b in Cp.hom(u.on_object(c), cpp)}
-            action[(name(cp, t), g)] = name(cpp, t2)
+            action[(_transformation_id(cp, t), g)] = \
+                _transformation_id(cpp, t2)
     P = Presheaf(Cp, fibers, action)
 
     def trans_of(elem_id):
@@ -587,7 +603,7 @@ def unit_shriek(u: FinFunctor, G: Presheaf) -> PresheafMap:
     for c in C.objects:
         for s in G.fibers[c]:
             uc = u.on_object(c)
-            eta[s] = "%s|%s" % (c, class_of(uc, c, Cp.identity[uc], s))
+            eta[s] = _restricted_id(c, class_of(uc, c, Cp.identity[uc], s))
     return PresheafMap(G, R, eta).check()
 
 
@@ -603,8 +619,7 @@ def counit_shriek(u: FinFunctor, F: Presheaf) -> PresheafMap:
             for a in Cp.hom(cp, u.on_object(c)):
                 for s in G.fibers[c]:
                     nm = class_of(cp, c, a, s)
-                    raw = s.split("|", 1)[1]   # element of F(u(c))
-                    val = F.action[(raw, a)]
+                    val = F.action[(_restricted_elem(s), a)]
                     if nm in seen and seen[nm] != val:
                         raise AssertionError("counit ill-defined")
                     seen[nm] = val
@@ -620,11 +635,10 @@ def unit_star(u: FinFunctor, F: Presheaf) -> PresheafMap:
     eta = {}
     for cp in Cp.objects:
         for s in F.fibers[cp]:
-            t = {(c, a): "%s|%s" % (c, F.action[(s, a)])
+            t = {(c, a): _restricted_id(c, F.action[(s, a)])
                  for c in C.objects
                  for a in Cp.hom(u.on_object(c), cp)}
-            eta[s] = "{%s;%s}" % (cp, ",".join(
-                "%s|%s>%s" % (c, a, v) for (c, a), v in sorted(t.items())))
+            eta[s] = _transformation_id(cp, t)
     return PresheafMap(F, P, eta).check()
 
 
@@ -637,7 +651,7 @@ def counit_star(u: FinFunctor, G: Presheaf) -> PresheafMap:
     for c in C.objects:
         uc = u.on_object(c)
         for e in R.fibers[c]:
-            t = trans_of(e.split("|", 1)[1])
+            t = trans_of(_restricted_elem(e))
             eta[e] = t[(c, Cp.identity[uc])]
     return PresheafMap(R, G, eta).check()
 

@@ -4,6 +4,8 @@ exit-code contract (0 success, 1 semantic failure, 2 input error,
 import io
 import json
 
+import pytest
+
 from groundwork import catalog
 from groundwork.cli import main
 
@@ -12,6 +14,43 @@ def run(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+# every README command that needs no input file, with its documented exit
+README_COMMANDS = [
+    (["catalog", "list"], 0),
+    (["cohomology", "--space", "pseudo-circle", "--coef", "Z3",
+      "--max-degree", "2"], 0),
+    (["cech", "--space", "pseudo-circle", "--coef", "Z3",
+      "--cover", "a,b,c", "--cover", "a,b,d"], 0),
+    (["les", "--space", "interval-3", "--kind", "const", "--d", "2",
+      "--e", "2", "--max-degree", "2"], 0),
+    (["ext", "--ring", "Z4", "--module", "Z2", "--against", "Z2",
+      "--max-degree", "3"], 0),
+    (["resolve", "--ring", "F2x", "--module", "Z2", "--length", "2"], 0),
+    (["baer", "--ring", "Z4", "--module", "regular"], 0),
+    (["localize", "--category", "walking-arrow", "--sigma", "a"], 0),
+    (["ore", "--category", "cospan", "--sigma", "l<=c"], 1),
+    (["sheafify", "--site", "square-site", "--presheaf",
+      "square-presheaf"], 0),
+    (["yoneda-check", "--category", "square-poset", "--object", "1"], 0),
+]
+
+
+@pytest.mark.parametrize("argv,code", README_COMMANDS,
+                         ids=[a[0] for a, _ in README_COMMANDS])
+def test_readme_command_exit_code(argv, code):
+    assert run(*argv)[0] == code
+
+
+def test_resolve_f2x_readme_example_pinned():
+    # Z/2 is an F2[x]/(x^2)-module through the augmentation x -> 0
+    code, out = run("resolve", "--ring", "F2x", "--module", "Z2",
+                    "--length", "2")
+    assert code == 0
+    assert out.splitlines() == [
+        "I_0 has order 16", "I_1 has order 64", "I_2 has order 64",
+        "monic embedding, exactness, d o d = 0: verified"]
 
 
 def test_cohomology_pinned_example():

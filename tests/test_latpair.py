@@ -3,11 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from groundwork.intmat import IntMatrix
 from groundwork.latpair import (ContainmentError, GroupType, LatticePairGroup,
-                                SpanLattice, induced_morphism,
-                                latpair_kernel_image, latpair_quotient_type,
-                                quotient_type, subquotient)
+                                SpanLattice, latpair_kernel_image,
+                                latpair_quotient_type, quotient_type)
 
 F = Fraction
 
@@ -123,56 +121,6 @@ def test_kernel_image_checks_well_definedness():
     Zgrp = LatticePairGroup(lat((1,)), SpanLattice.zero(1))
     with pytest.raises(ContainmentError):
         latpair_kernel_image([(1,)], QZ, Zgrp)
-
-
-def test_subquotient_z4():
-    sq = subquotient(lat((F(1, 4),)), lat((1,)))
-    assert sq.group.invariant_factors == (4,)
-    assert sq.element_of((F(1, 2),)) == sq.group.normal_form((2,))
-    assert sq.element_of((1,)) == sq.group.zero()
-    e = sq.group.normal_form((3,))
-    assert sq.element_of(sq.vector_of(e)) == e
-
-
-def test_subquotient_requires_discrete():
-    with pytest.raises(ContainmentError):
-        subquotient(SpanLattice.full(1), lat((1,)))
-
-
-def test_induced_morphism():
-    sq = subquotient(lat((F(1, 4),)), lat((1,)))
-    f = induced_morphism([(2,)], sq, sq)
-    # multiplication by 2 on Z/4
-    a = sq.group.normal_form((1,))
-    assert f.apply(a) == sq.group.normal_form((2,))
-    assert f.compose(f).compose(f).apply(a) == sq.group.zero()
-
-
-def test_induced_morphism_two_coordinates():
-    # (Z/2)^2 as (1/2)Z^2 / Z^2; swap coordinates
-    num = lat((F(1, 2), 0), (0, F(1, 2)))
-    den = lat((1, 0), (0, 1))
-    sq = subquotient(num, den)
-    assert sq.group.invariant_factors == (2, 2)
-    swap = induced_morphism([(0, 1), (1, 0)], sq, sq)
-    a = sq.element_of((F(1, 2), 0))
-    b = sq.element_of((0, F(1, 2)))
-    assert swap.apply(a) == b and swap.apply(b) == a
-
-
-def test_from_int_lattice():
-    L = IntMatrix.from_rows([[2, 0], [0, 3]])
-    assert SpanLattice.from_int_lattice(L) == lat((2, 0), (0, 3))
-
-
-def test_induced_morphism_rejects_divisible_denominator_outside():
-    # Q/Q -> (1/2)Z/Z by the identity: Q is not inside Z, although each
-    # span row of Q, taken as a single vector, is
-    Q = SpanLattice.make(1, span_vectors=[(1,)])
-    src = subquotient(Q, Q)
-    dst = subquotient(lat((F(1, 2),)), lat((1,)))
-    with pytest.raises(ContainmentError):
-        induced_morphism([(1,)], src, dst)
 
 
 def _random_vector(rng, n):

@@ -4,19 +4,25 @@ The Ext oracle is independent of the library's injective machinery: for
 cyclic modules over Z/n it applies Hom(-, N) to the standard periodic free
 resolution ... -> Z/n --n/d--> Z/n --d--> Z/n -> Z/d -> 0 and reads the
 cohomology orders off gcd arithmetic.
+
+The torsion oracle is independent of the closed-form coinduction: it
+presents the d-torsion (1/d)K/K of a hull as a lattice pair and reads its
+type off latpair.quotient_type.
 """
 import math
+from fractions import Fraction
 
 import pytest
 
 from groundwork.fpgroup import fp_from_factors, fp_hom_group
 from groundwork.intmat import IntMatrix
+from groundwork.latpair import SpanLattice, quotient_type
 from groundwork.modres import (DivisibleGroup, InvalidModule, InvalidRing,
                                ResourceCap, abelian_invariants_by_counting,
                                baer_check, coinduced, divisible_hull,
                                divisible_hull_generators, ext, hom_r_group,
                                ideal_module, injective_resolution,
-                               left_ideals, module_direct_sum,
+                               is_r_linear, left_ideals, module_direct_sum,
                                module_from_action_table,
                                module_from_integer_action, r_linear_homs,
                                regular_module, ring_f2x, ring_zmod,
@@ -35,6 +41,20 @@ def ext_cyclic_oracle(n, d, e, k):
     if k == 0:
         return ker_order(diff(0))
     return ker_order(diff(k)) // im_order(diff(k - 1))
+
+
+def torsion_lattices(D, d):
+    """((1/d)K, K) as span+lattice subgroups of Q^dim."""
+    K = D.lattice.columns()
+    return (SpanLattice.make(D.dim, lattice_vectors=[
+                [Fraction(x, d) for x in c] for c in K]),
+            SpanLattice.make(D.dim, lattice_vectors=K))
+
+
+def torsion_group(D, d):
+    """The d-torsion (1/d)K/K of D as an abstract finite group."""
+    return fp_from_factors(quotient_type(
+        *torsion_lattices(D, d)).finite_factors)
 
 
 @pytest.fixture(scope="module")
@@ -82,16 +102,16 @@ def test_module_from_action_table_round_trip(rings):
 
 
 def test_divisible_hull_type_and_injectivity():
-    from groundwork.latpair import SpanLattice, quotient_type
     M = fp_from_factors([2])
     D, iota = divisible_hull(M)
     # hull of Z/2 on its two elements is (Q/Z)^2 up to isomorphism
-    t = quotient_type(SpanLattice.full(D.dim),
-                      SpanLattice.from_int_lattice(D.lattice))
+    num, K = torsion_lattices(D, 2)
+    t = quotient_type(SpanLattice.full(D.dim), K)
     assert str(t) == "(Q/Z)^2"
-    sq = D.torsion_subquotient(2)
-    imgs = {sq.element_of(iota(e)) for e in M.elements()}
-    assert len(imgs) == 2
+    # iota lands in the 2-torsion and is injective modulo K
+    assert all(num.contains(iota(e)) for e in M.elements())
+    a, b = (iota(e) for e in M.elements())
+    assert not K.contains([x - y for x, y in zip(a, b)])
 
 
 def test_generator_hull_matches_invariant_factors():
@@ -116,11 +136,9 @@ def test_coinduced_sizes(rings):
 def test_hom_into_divisible_pinned_counts():
     QZ = DivisibleGroup(1, IntMatrix.identity(1))
     QZ2 = DivisibleGroup(2, IntMatrix.identity(2))
-    h1, _ = fp_hom_group(fp_from_factors([2]),
-                         QZ.torsion_subquotient(2).group)
+    h1, _ = fp_hom_group(fp_from_factors([2]), torsion_group(QZ, 2))
     assert h1.order() == 2
-    h2, _ = fp_hom_group(fp_from_factors([4]),
-                         QZ2.torsion_subquotient(4).group)
+    h2, _ = fp_hom_group(fp_from_factors([4]), torsion_group(QZ2, 4))
     assert h2.order() == 16
 
 
@@ -138,8 +156,61 @@ def test_coinduction_adjunction_counts(rings):
         lhs = len(r_linear_homs(M, C.module))
         exponent = math.lcm(*M.additive.invariant_factors)
         rhs = fp_hom_group(M.additive,
-                           D.torsion_subquotient(exponent).group)[0].order()
+                           torsion_group(D, exponent))[0].order()
         assert lhs == rhs
+
+
+def ring_z4_x():
+    """Z[x]/(4, 2x, x^2): elements b·x + a with canonical coordinates
+    (b mod 2, a mod 4), so x·1 = x links factors of unequal order."""
+    G = fp_from_factors([2, 4])
+    mul = {((b1, a1), (b2, a2)): ((a1 * b2 + a2 * b1) % 2, (a1 * a2) % 4)
+           for b1, a1 in G.elements() for b2, a2 in G.elements()}
+    return validate_ring("Z4x", G, mul, (0, 1))
+
+
+def test_coinduced_closed_form_matches_torsion_oracle(rings):
+    """Hom_Z(R, D) is ⊕_i of the d_i-torsion of D, for both hull kinds."""
+    cases = [(ring_z4_x(), zmod_module(ring_z4_x(), 2)),
+             (rings["Z4"], zmod_module(rings["Z4"], 2)),
+             (rings["Z4"], regular_module(rings["Z4"])),
+             (rings["Z6"], zmod_module(rings["Z6"], 3)),
+             (rings["F2x"], zmod_module(rings["F2x"], 2)),
+             (rings["F2x"], regular_module(rings["F2x"]))]
+    for R, M in cases:
+        for hull in (divisible_hull, divisible_hull_generators):
+            D, iota = hull(M.additive)
+            C = coinduced(R, D)
+            expected = fp_from_factors(
+                [f for d in R.additive.invariant_factors
+                 for f in torsion_group(D, d).invariant_factors])
+            assert C.module.additive.invariant_factors == \
+                expected.invariant_factors, (R.name, hull.__name__)
+            e = unit_embedding(M, D, iota, C)
+            assert e.is_monic() and is_r_linear(e, M, C.module)
+
+
+def test_divisible_group_requires_full_rank_square_lattice():
+    with pytest.raises(ValueError):
+        DivisibleGroup(2, IntMatrix.diagonal([2, 0]))
+    with pytest.raises(ValueError):
+        DivisibleGroup(2, IntMatrix.identity(1))
+
+
+def test_zmod_module_acts_through_the_ring_homomorphism(rings):
+    # no ring homomorphism Z/4 -> Z/3
+    with pytest.raises(InvalidModule, match="0 ring homomorphisms"):
+        zmod_module(ring_zmod(4), 3)
+    # x -> 0 and x -> 2 are both ring homomorphisms Z[x]/(4, 2x, x^2) -> Z/4
+    with pytest.raises(InvalidModule, match="2 ring homomorphisms"):
+        zmod_module(ring_z4_x(), 4)
+    # over F2[x]/(x^2), Z/2 is the augmentation module: x acts as 0
+    M = zmod_module(rings["F2x"], 2)
+    assert all(M.act((0, 1), m) == M.additive.zero() for m in M.elements())
+    assert all(M.act((1, 1), m) == m for m in M.elements())
+    # over Z/n with k | n, r acts as r mod k
+    M = zmod_module(rings["Z6"], 3)
+    assert all(M.act((r,), (1,)) == ((r % 3),) for r in range(6))
 
 
 def test_unit_embedding_monic_r_linear(rings):
