@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 semantic failure (with witnesses), 2 input or
 schema error, 3 resource cap exceeded.  `--format json` emits the same
 content as the text report, machine-readable.  The element cap for
 resolution-style computations defaults to 10^6 and can be overridden
-with the GW_ELEMENT_CAP environment variable.
+with the GW_ELEMENT_CAP environment variable, which must be a positive
+integer (anything else is an input error).
 """
 import argparse
 import json
@@ -31,7 +32,15 @@ from .site import ResourceExceeded, is_sheaf, sheafify, is_isomorphism
 
 
 def _element_cap():
-    return int(os.environ.get("GW_ELEMENT_CAP", DEFAULT_ELEMENT_CAP))
+    raw = os.environ.get("GW_ELEMENT_CAP", str(DEFAULT_ELEMENT_CAP))
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise catalog.InvalidEntry(
+            "GW_ELEMENT_CAP must be a positive integer, not %r" % (raw,))
+    return cap
 
 
 def _load_kind(name, kind):

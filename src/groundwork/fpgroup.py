@@ -79,6 +79,10 @@ class FpAbGroup:
         return tuple(1 if j == i else 0
                      for j in range(len(self.invariant_factors)))
 
+    def generators(self) -> list:
+        """The canonical generators, one per invariant factor."""
+        return [self.generator(i) for i in range(len(self.invariant_factors))]
+
     def add(self, a: tuple, b: tuple) -> tuple:
         return tuple((x + y) % m if m else x + y
                      for x, y, m in zip(a, b, self.invariant_factors))

@@ -1,9 +1,13 @@
 """Finite rings and modules; injective resolutions and Ext.
 
-A module's scalar action is stored as one additive endomorphism per
-canonical ring element, which makes additivity structural; the remaining
-axioms (unit, both distributive laws, associativity of scalars) are checked
-exhaustively over ring elements and group generators.
+A module is its additive group with one additive endomorphism A_i for each
+additive (Smith) generator g_i of R, of order d_i; r = Σ r_i·g_i acts as
+Σ r_i·A_i.  The laws are checked on generators, which is equivalent to
+checking them on all elements: once every A_i is well defined with
+d_i·A_i = 0, the action is additive in r, so both sides of the unit and
+associativity laws are additive in each argument.  A ring's table is
+checked the same way: it must add over every generator on either side,
+and then associativity is checked on generator triples.
 
 Injective objects are produced by the two-step embedding: embed the
 additive group in a divisible group D = Q^n/K (free group on the elements,
@@ -59,6 +63,10 @@ class FiniteRing:
     def elements(self):
         return self.additive.elements()
 
+    def generators(self):
+        """The additive (Smith) generators g_i; r = Σ r_i·g_i."""
+        return self.additive.generators()
+
     def times(self, a, b):
         return self.mul[(a, b)]
 
@@ -76,22 +84,23 @@ def validate_ring(name, additive: FpAbGroup, mul, one) -> FiniteRing:
             if (a, b) not in mul or mul[(a, b)] not in eset:
                 raise InvalidRing("multiplication table incomplete at %r"
                                   % ((a, b),))
+    gens, add = additive.generators(), additive.add
     for a in elems:
         if mul[(one, a)] != a or mul[(a, one)] != a:
             raise InvalidRing("unit law fails at %r" % (a,))
+        # a map that adds over every generator is additive
         for b in elems:
-            for c in elems:
-                if mul[(mul[(a, b)], c)] != mul[(a, mul[(b, c)])]:
-                    raise InvalidRing("associativity fails at %r"
-                                      % ((a, b, c),))
-                if mul[(a, additive.add(b, c))] != \
-                        additive.add(mul[(a, b)], mul[(a, c)]):
+            for g in gens:
+                if mul[(a, add(b, g))] != add(mul[(a, b)], mul[(a, g)]):
                     raise InvalidRing("left distributivity fails at %r"
-                                      % ((a, b, c),))
-                if mul[(additive.add(a, b), c)] != \
-                        additive.add(mul[(a, c)], mul[(b, c)]):
+                                      % ((a, b, g),))
+                if mul[(add(b, g), a)] != add(mul[(b, a)], mul[(g, a)]):
                     raise InvalidRing("right distributivity fails at %r"
-                                      % ((a, b, c),))
+                                      % ((b, g, a),))
+    # both sides are trilinear, so generator triples suffice
+    for a, b, c in itertools.product(gens, repeat=3):
+        if mul[(mul[(a, b)], c)] != mul[(a, mul[(b, c)])]:
+            raise InvalidRing("associativity fails at %r" % ((a, b, c),))
     return FiniteRing(name, additive, dict(mul), one)
 
 
@@ -112,14 +121,32 @@ def ring_f2x() -> FiniteRing:
     return validate_ring("F2x", G, mul, (1, 0))
 
 
+def _combination(G: FpAbGroup, coeffs, elems) -> tuple:
+    """Σ c_i·e_i in G."""
+    acc = G.zero()
+    for c, e in zip(coeffs, elems):
+        acc = G.add(acc, G.smul(c, e))
+    return acc
+
+
+def _endo(G: FpAbGroup, f) -> FpMorphism:
+    """The endomorphism of G that agrees with f on G's presentation
+    generators."""
+    cols = [G.lift(f(G.normal_form(e)))
+            for e in IntMatrix.identity(G.gens).columns()]
+    return FpMorphism(G, G, IntMatrix.from_cols(cols, rows=G.gens)).check()
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteModule:
     ring: FiniteRing
     additive: FpAbGroup
-    action: dict    # ring canonical element -> FpMorphism (additive endo)
+    action: tuple   # A_i: additive endomorphism for ring generator g_i
 
     def act(self, r, m):
-        return self.action[r].apply(m)
+        """r·m = Σ r_i·A_i(m)."""
+        return _combination(self.additive, r,
+                            [A.apply(m) for A in self.action])
 
     def elements(self):
         return self.additive.elements()
@@ -130,54 +157,42 @@ class FiniteModule:
 
 def validate_module(ring: FiniteRing, additive: FpAbGroup,
                     action) -> FiniteModule:
+    """Check the module laws on generators; each is bilinear once every A_i
+    is well defined and killed by the order d_i of g_i, for then r -> Σ
+    r_i·A_i is additive."""
     if not additive.is_finite():
         raise InvalidModule("additive group must be finite")
-    relems = ring.elements()
-    gens = [additive.generator(i)
-            for i in range(len(additive.invariant_factors))]
-    for r in relems:
-        if r not in action:
-            raise InvalidModule("no action for ring element %r" % (r,))
-        if not action[r].is_well_defined():
-            raise InvalidModule("action of %r is not additive" % (r,))
-    for g in gens:
-        if action[ring.one].apply(g) != g:
-            raise InvalidModule("unit does not act as identity")
-    for r in relems:
-        for s in relems:
-            rs = ring.times(r, s)
-            r_plus_s = ring.additive.add(r, s)
-            for g in gens:
-                if action[rs].apply(g) != \
-                        action[r].apply(action[s].apply(g)):
-                    raise InvalidModule(
-                        "scalar associativity fails at %r" % ((r, s),))
-                if action[r_plus_s].apply(g) != additive.add(
-                        action[r].apply(g), action[s].apply(g)):
-                    raise InvalidModule(
-                        "distributivity over scalars fails at %r" % ((r, s),))
-    return FiniteModule(ring, additive, dict(action))
+    M = FiniteModule(ring, additive, tuple(action))
+    rgens = ring.generators()
+    if len(M.action) != len(rgens):
+        raise InvalidModule("need one action per additive generator of %s"
+                            % ring.name)
+    gens = additive.generators()
+    for g, d, A in zip(rgens, ring.additive.invariant_factors, M.action):
+        if not A.is_well_defined():
+            raise InvalidModule("action of %r is not additive" % (g,))
+        if any(additive.smul(d, A.apply(m)) != additive.zero()
+               for m in gens):
+            raise InvalidModule("%d·%r does not act as zero" % (d, g))
+    if any(M.act(ring.one, m) != m for m in gens):
+        raise InvalidModule("unit does not act as identity")
+    for (r, A), (s, B) in itertools.product(zip(rgens, M.action), repeat=2):
+        rs = ring.times(r, s)
+        if any(M.act(rs, m) != A.apply(B.apply(m)) for m in gens):
+            raise InvalidModule(
+                "scalar associativity fails at %r" % ((r, s),))
+    return M
 
 
 def module_from_action_table(ring: FiniteRing, additive: FpAbGroup,
                              table) -> FiniteModule:
     """Build a module from a full (ring element, element) -> element table,
     checking the table agrees with its additive-closure everywhere."""
-    action = {}
-    for r in ring.elements():
-        cols = []
-        for j in range(additive.gens):
-            e = tuple(1 if t == j else 0 for t in range(additive.gens))
-            s = additive.normal_form(e)
-            acc = additive.zero()
-            for i, c in enumerate(s):
-                acc = additive.add(acc, additive.smul(
-                    c, table[(r, additive.generator(i))]))
-            cols.append(list(additive.lift(acc)))
-        action[r] = FpMorphism(additive, additive, IntMatrix.from_cols(
-            cols, rows=additive.gens) if additive.gens else
-            IntMatrix.zeros(0, 0)).check()
-    M = validate_module(ring, additive, action)
+    gens = additive.generators()
+    M = validate_module(ring, additive, [
+        _endo(additive, lambda x, r=r: _combination(
+            additive, x, [table[(r, g)] for g in gens]))
+        for r in ring.generators()])
     for (r, m), v in table.items():
         if M.act(r, m) != v:
             raise InvalidModule("action table is not additive at %r"
@@ -187,13 +202,12 @@ def module_from_action_table(ring: FiniteRing, additive: FpAbGroup,
 
 def module_from_integer_action(ring: FiniteRing, additive: FpAbGroup,
                                scalar_of) -> FiniteModule:
-    """Module where ring element r acts as multiplication by scalar_of(r)."""
-    action = {}
-    for r in ring.elements():
-        action[r] = FpMorphism(
-            additive, additive,
-            IntMatrix.identity(additive.gens).scale(scalar_of(r))).check()
-    return validate_module(ring, additive, action)
+    """Module where each generator g_i of R acts as multiplication by
+    scalar_of(g_i), and so r as multiplication by Σ r_i·scalar_of(g_i)."""
+    return validate_module(ring, additive, [
+        FpMorphism(additive, additive, IntMatrix.identity(
+            additive.gens).scale(scalar_of(g))).check()
+        for g in ring.generators()])
 
 
 def zmod_module(ring: FiniteRing, k: int) -> FiniteModule:
@@ -206,8 +220,7 @@ def zmod_module(ring: FiniteRing, k: int) -> FiniteModule:
         return G.lift(x)[0]
 
     # phi(ab) = phi(a)·phi(b) is biadditive, so generators suffice
-    gens = [ring.additive.generator(i)
-            for i in range(len(ring.additive.invariant_factors))]
+    gens = ring.generators()
     homs = [phi for phi in map(decode, H.elements())
             if phi.apply(ring.one) == G.normal_form((1,)) and all(
                 G.normal_form((value(phi.apply(a)) * value(phi.apply(b)),))
@@ -222,52 +235,29 @@ def zmod_module(ring: FiniteRing, k: int) -> FiniteModule:
 def regular_module(R: FiniteRing) -> FiniteModule:
     """R as a left module over itself."""
     G = R.additive
-    action = {}
-    for r in R.elements():
-        cols = []
-        for j in range(G.gens):
-            e = tuple(1 if t == j else 0 for t in range(G.gens))
-            img = R.times(r, G.normal_form(e))
-            cols.append(list(G.lift(img)))
-        action[r] = FpMorphism(G, G, IntMatrix.from_cols(
-            cols, rows=G.gens)).check()
-    return validate_module(R, G, action)
+    return validate_module(R, G, [_endo(G, lambda x, g=g: R.times(g, x))
+                                  for g in R.generators()])
 
 
 def module_direct_sum(modules):
     """Direct sum of modules over the same ring; returns (M, incls, projs)."""
     ring = modules[0].ring
     total, incs, projs = fp_direct_sum([m.additive for m in modules])
-    action = {}
-    for r in ring.elements():
-        cols = []
-        off = 0
-        mat_rows = [[0] * total.gens for _ in range(total.gens)]
-        for m in modules:
-            a = m.action[r].matrix
-            for i in range(a.rows):
-                for j in range(a.cols):
-                    mat_rows[off + i][off + j] = a[i, j]
-            off += m.additive.gens
-        action[r] = FpMorphism(total, total,
-                               IntMatrix.from_rows(mat_rows)).check()
+    action = []
+    for As in zip(*(m.action for m in modules)):
+        mat = IntMatrix.zeros(total.gens, total.gens)
+        for A, i, p in zip(As, incs, projs):
+            mat = mat.add(i.matrix.mul(A.matrix).mul(p.matrix))
+        action.append(FpMorphism(total, total, mat).check())
     M = validate_module(ring, total, action)
     return M, incs, projs
 
 
 def is_r_linear(h: FpMorphism, source: FiniteModule,
                 target: FiniteModule) -> bool:
-    # additive generators of the ring suffice: the action is additive in
-    # the ring variable by distributivity
-    R = source.ring
-    gens = [R.additive.generator(i)
-            for i in range(len(R.additive.invariant_factors))]
-    for r in gens:
-        left = h.compose(source.action[r])
-        right = target.action[r].compose(h)
-        if not left.agrees_with(right):
-            return False
-    return True
+    # the actions of R's generators suffice: both sides are additive in r
+    return all(h.compose(A).agrees_with(B.compose(h))
+               for A, B in zip(source.action, target.action))
 
 
 # -- divisible hulls ---------------------------------------------------------
@@ -347,18 +337,19 @@ def coinduced(R: FiniteRing, D: DivisibleGroup,
                               % cap)
     n, k = D.dim, len(factors)
     H = fp_from_factors([d for d in factors for _ in range(n)])
-    action = {}
-    for r in R.elements():
+    gens = R.generators()
+    action = []
+    for r in gens:
         # (r·f)(g_j) = Σ_i c_ij·f(g_i), c_ij the g_i-coordinate of r·g_j;
         # d_i divides c_ij·d_j because d_j kills r·g_j
         rows = [[0] * (k * n) for _ in range(k * n)]
-        for j in range(k):
-            c = R.times(r, R.additive.generator(j))
+        for j, g in enumerate(gens):
+            c = R.times(r, g)
             for i in range(k):
                 scale = c[i] * factors[j] // factors[i]
                 for a in range(n):
                     rows[j * n + a][i * n + a] = scale
-        action[r] = FpMorphism(H, H, IntMatrix.from_rows(rows)).check()
+        action.append(FpMorphism(H, H, IntMatrix.from_rows(rows)).check())
     return CoinducedModule(validate_module(R, H, action), D)
 
 
@@ -373,11 +364,10 @@ def unit_embedding(M: FiniteModule, D: DivisibleGroup, iota,
     R = M.ring
     factors = list(R.additive.invariant_factors)
     H = C.module.additive
-    gens = [M.additive.normal_form(
-        tuple(1 if t == j else 0 for t in range(M.additive.gens)))
-        for j in range(M.additive.gens)]
-    targets = [[d * x for x in iota(M.act(R.additive.generator(i), m))]
-               for m in gens for i, d in enumerate(factors)]
+    gens = [M.additive.normal_form(e)
+            for e in IntMatrix.identity(M.additive.gens).columns()]
+    targets = [[d * x for x in iota(A.apply(m))]
+               for m in gens for A, d in zip(M.action, factors)]
     sols = solve_many(D.lattice, targets)
     if None in sols:
         raise RuntimeError("hull vector is not torsion of the ring's order")
@@ -399,11 +389,9 @@ def module_cokernel(f: FpMorphism, target_module: FiniteModule):
 
     Returns (Q: FiniteModule, proj: FpMorphism)."""
     (_, _), (coker, proj) = fp_kernel_cokernel(f)
-    action = {}
-    for r in target_module.ring.elements():
-        action[r] = FpMorphism(coker, coker,
-                               target_module.action[r].matrix).check()
-    Q = validate_module(target_module.ring, coker, action)
+    Q = validate_module(target_module.ring, coker, [
+        FpMorphism(coker, coker, A.matrix).check()
+        for A in target_module.action])
     return Q, proj
 
 
@@ -473,49 +461,41 @@ def fp_subgroup(G: FpAbGroup, elements):
 
 
 def left_ideals(R: FiniteRing):
-    """All left ideals, each as a sorted tuple of canonical elements."""
+    """All left ideals, each as a sorted tuple of canonical elements.
+
+    Every left ideal is the sum of the principal ideals Rx of its elements,
+    so the principal ideals, closed under adding one more, are all of them.
+    """
     elems = R.elements()
-    found = set()
-    for seed_size in range(len(elems) + 1):
-        for seed in itertools.combinations(elems, seed_size):
-            # close under addition and the ring action
-            J = {R.zero()}
-            frontier = set(seed)
-            while frontier:
-                x = frontier.pop()
-                if x in J:
-                    continue
-                J.add(x)
-                for y in list(J):
-                    s = R.additive.add(x, y)
-                    if s not in J:
-                        frontier.add(s)
-                for r in elems:
-                    rx = R.times(r, x)
-                    if rx not in J:
-                        frontier.add(rx)
-            found.add(tuple(sorted(J)))
-    return sorted(found)
+    principal = {frozenset(R.times(r, x) for r in elems) for x in elems}
+    found, frontier = set(principal), list(principal)
+    while frontier:
+        I = frontier.pop()
+        for P in principal:
+            J = frozenset(R.additive.add(a, b) for a in I for b in P)
+            if J not in found:
+                found.add(J)
+                frontier.append(J)
+    return sorted(tuple(sorted(J)) for J in found)
 
 
 def ideal_module(R: FiniteRing, ideal_elements):
     """A left ideal as a FiniteModule, with its inclusion into R."""
     S, incl = fp_subgroup(R.additive, list(ideal_elements))
     xs = [R.additive.normal_form(c) for c in incl.matrix.columns()]
-    elems = R.elements()
-    # r·x in generator coordinates of S, for every r and generator x
+    gens = R.generators()
+    # g·x in generator coordinates of S, for every ring generator g and
+    # generator x of S
     sols = solve_many(incl.matrix.hstack(R.additive.relations),
-                      [R.additive.lift(R.times(r, x))
-                       for r in elems for x in xs])
-    action = {}
-    for k, r in enumerate(elems):
+                      [R.additive.lift(R.times(g, x))
+                       for g in gens for x in xs])
+    action = []
+    for k in range(len(gens)):
         cols = sols[k * S.gens:(k + 1) * S.gens]
         if None in cols:
             raise InvalidModule("not a left ideal")
-        cols = [c[:S.gens] for c in cols]
-        action[r] = FpMorphism(S, S, IntMatrix.from_cols(
-            cols, rows=S.gens) if cols else
-            IntMatrix.zeros(S.gens, 0)).check()
+        action.append(FpMorphism(S, S, IntMatrix.from_cols(
+            [c[:S.gens] for c in cols], rows=S.gens)).check())
     J = validate_module(R, S, action)
     return J, incl
 

@@ -1,8 +1,10 @@
 """Tests for the built-in example catalog: every entry validates on
 load, dump round-trips bit-exactly, and pinned shapes match independent
 enumeration."""
+import importlib.util
 import itertools
 import json
+import pathlib
 
 import pytest
 
@@ -54,6 +56,20 @@ def test_dump_round_trips_bit_exact(tmp_path):
         # and the dumped file still parses into the same payload
         assert json.loads(out.read_text())["payload"] == \
             catalog.load(name).payload
+
+
+def test_make_catalog_reproduces_shipped_files():
+    """tools/make_catalog.py, run in memory, rebuilds every shipped data
+    file byte for byte."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "tools" / \
+        "make_catalog.py"
+    spec = importlib.util.spec_from_file_location("make_catalog", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert sorted(entry[0] for entry in tool.ENTRIES) == catalog.list()
+    for entry in tool.ENTRIES:
+        assert tool.render(*entry).encode() == \
+            catalog._resource(entry[0]).read_bytes(), entry[0]
 
 
 def test_pseudo_circle_shape():

@@ -120,6 +120,15 @@ def test_resource_cap_exits_3(monkeypatch):
     assert "resource cap" in out
 
 
+@pytest.mark.parametrize("cap", ["abc", "0", "-5", "1.5", ""])
+def test_invalid_element_cap_is_an_input_error(monkeypatch, cap):
+    monkeypatch.setenv("GW_ELEMENT_CAP", cap)
+    code, out = run("resolve", "--ring", "Z4", "--module", "Z2",
+                    "--length", "1")
+    assert code == 2
+    assert out.startswith("input error: GW_ELEMENT_CAP")
+
+
 def test_ore_failure_prints_witness_and_exits_1():
     code, out = run("ore", "--category", "cospan", "--sigma", "l<=c")
     assert code == 1

@@ -8,13 +8,21 @@ cohomology orders off gcd arithmetic.
 The torsion oracle is independent of the closed-form coinduction: it
 presents the d-torsion (1/d)K/K of a hull as a lattice pair and reads its
 type off latpair.quotient_type.
+
+The ring, module and left-ideal references check element by element what
+the library checks on R's additive generators: the ring laws on every
+triple of elements, the module laws on every pair of scalars of a
+per-element action, and the ideals as closures of every subset of R.
 """
+import functools
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from groundwork.fpgroup import fp_from_factors, fp_hom_group
+from groundwork.fpgroup import FpMorphism, fp_from_factors, fp_hom_group
 from groundwork.intmat import IntMatrix
 from groundwork.latpair import SpanLattice, quotient_type
 from groundwork.modres import (DivisibleGroup, InvalidModule, InvalidRing,
@@ -348,3 +356,240 @@ def test_invariants_by_counting_oracle():
         got = abelian_invariants_by_counting(G.elements(), G.add, G.zero())
         assert got == G.invariant_factors
     assert abelian_invariants_by_counting([()], lambda a, b: (), ()) == ()
+
+
+# -- the element-wise checks that generator checks replaced, as references --
+
+
+def reference_ring_accepts(G, mul, one):
+    """Ring laws over every element triple: unit, associativity and both
+    distributive laws."""
+    elems = G.elements()
+    if any((a, b) not in mul or mul[(a, b)] not in elems
+           for a in elems for b in elems):
+        return False
+    for a in elems:
+        if mul[(one, a)] != a or mul[(a, one)] != a:
+            return False
+        for b in elems:
+            for c in elems:
+                if mul[(mul[(a, b)], c)] != mul[(a, mul[(b, c)])] or \
+                        mul[(a, G.add(b, c))] != \
+                        G.add(mul[(a, b)], mul[(a, c)]) or \
+                        mul[(G.add(a, b), c)] != \
+                        G.add(mul[(a, c)], mul[(b, c)]):
+                    return False
+    return True
+
+
+def reference_module_accepts(R, G, table):
+    """One additive map per ring element, read off the table on G's
+    generators; then the unit, scalar associativity and distributivity over
+    all pairs of ring elements, and the whole table against the maps."""
+    gens = [G.generator(i) for i in range(len(G.invariant_factors))]
+    action = {}
+    for r in R.elements():
+        cols = []
+        for e in IntMatrix.identity(G.gens).columns():
+            acc = G.zero()
+            for c, g in zip(G.normal_form(e), gens):
+                acc = G.add(acc, G.smul(c, table[(r, g)]))
+            cols.append(G.lift(acc))
+        action[r] = FpMorphism(G, G, IntMatrix.from_cols(cols, rows=G.gens))
+        if not action[r].is_well_defined():
+            return False
+    if any(action[R.one].apply(g) != g for g in gens):
+        return False
+    for r in R.elements():
+        for s in R.elements():
+            for g in gens:
+                if action[R.times(r, s)].apply(g) != \
+                        action[r].apply(action[s].apply(g)) or \
+                        action[R.additive.add(r, s)].apply(g) != \
+                        G.add(action[r].apply(g), action[s].apply(g)):
+                    return False
+    return all(action[r].apply(m) == v for (r, m), v in table.items())
+
+
+def reference_left_ideals(R):
+    """Close every subset of R under addition and the ring action."""
+    elems = R.elements()
+    found = set()
+    for seed_size in range(len(elems) + 1):
+        for seed in itertools.combinations(elems, seed_size):
+            J = {R.zero()}
+            frontier = set(seed)
+            while frontier:
+                x = frontier.pop()
+                if x in J:
+                    continue
+                J.add(x)
+                frontier.update(R.additive.add(x, y) for y in J)
+                frontier.update(R.times(r, x) for r in elems)
+            found.add(tuple(sorted(J)))
+    return sorted(found)
+
+
+def random_automorphism(G, rng):
+    """A random automorphism of G as a dict on elements."""
+    H, decode = fp_hom_group(G, G)
+    elems = G.elements()
+    while True:
+        h = decode(rng.choice(H.elements()))
+        phi = {m: h.apply(m) for m in elems}
+        if len(set(phi.values())) == len(elems):
+            return phi
+
+
+def perturbed(table, rng, values):
+    """table with one entry changed to another of the given values."""
+    key = rng.choice(sorted(table))
+    out = dict(table)
+    out[key] = rng.choice([v for v in values if v != table[key]])
+    return out
+
+
+def mul_table(G, f):
+    return {(a, b): f(a, b) for a in G.elements() for b in G.elements()}
+
+
+def combination(G, coeffs, elems):
+    """Σ c_i·e_i in G."""
+    return functools.reduce(G.add, [G.smul(c, e)
+                                    for c, e in zip(coeffs, elems)], G.zero())
+
+
+def one_sided_table(G, one, rng):
+    """A table with unit `one` whose left multiplications a·- are random
+    additive maps: it adds over its right argument by construction, and
+    over its left one only by chance."""
+    H, decode = fp_hom_group(G, G)
+    homs = [decode(e) for e in H.elements()]
+    table = {}
+    for a in G.elements():
+        f = rng.choice([h for h in homs if h.apply(one) == a])
+        for b in G.elements():
+            table[(a, b)] = b if a == one else f.apply(b)
+    return table
+
+
+def test_validate_ring_matches_elementwise_reference():
+    """Seeded tables over Z/4, Z/2², Z/6, Z/2 ⊕ Z/4 and Z/2³: known rings
+    moved by random additive automorphisms, the same with one entry or the
+    unit changed, tables that add over one argument only, and bilinear
+    tables with the last generator as unit (on Z/2³ these need not be
+    associative; on the smaller groups every unital bilinear table is)."""
+    Z22, Z24 = fp_from_factors([2, 2]), fp_from_factors([2, 4])
+    Z222 = fp_from_factors([2, 2, 2])
+    known = [
+        (ring_zmod(4).additive, ring_zmod(4).mul, (1,)),
+        (ring_zmod(6).additive, ring_zmod(6).mul, (1,)),
+        (Z22, ring_f2x().mul, (1, 0)),
+        (Z22, mul_table(Z22, lambda a, b: (a[0] * b[0], a[1] * b[1])),
+         (1, 1)),
+        (Z22, mul_table(Z22, lambda a, b: (
+            (a[0] * b[0] + a[1] * b[1]) % 2,
+            (a[0] * b[1] + a[1] * b[0] + a[1] * b[1]) % 2)), (1, 0)),
+        (Z24, ring_z4_x().mul, (0, 1)),
+        (Z24, mul_table(Z24, lambda a, b: (a[0] * b[0] % 2,
+                                            a[1] * b[1] % 4)), (1, 1)),
+        (Z222, mul_table(Z222, lambda a, b: tuple(
+            x * y for x, y in zip(a, b))), (1, 1, 1)),
+    ]
+    rng = random.Random(6)
+    verdicts = []
+    for G, mul, one in known:
+        elems = G.elements()
+        gens = [G.generator(i) for i in range(len(G.invariant_factors))]
+        u = gens[-1]
+        cases = []
+        for _ in range(4):
+            phi = random_automorphism(G, rng)
+            moved = {(phi[a], phi[b]): phi[c] for (a, b), c in mul.items()}
+            left = one_sided_table(G, phi[one], rng)
+            consts = {(g, h): h if g == u else g if h == u else
+                      rng.choice(elems) for g in gens for h in gens}
+            bilinear = mul_table(G, lambda a, b: combination(
+                G, [x * y for x in a for y in b],
+                [consts[(g, h)] for g in gens for h in gens]))
+            cases += [(moved, phi[one]),
+                      (perturbed(moved, rng, elems), phi[one]),
+                      (moved, rng.choice([e for e in elems
+                                          if e != phi[one]])),
+                      (left, phi[one]),
+                      ({(b, a): c for (a, b), c in left.items()}, phi[one]),
+                      (bilinear, u)]
+        for table, unit in cases:
+            expected = reference_ring_accepts(G, table, unit)
+            try:
+                validate_ring("R", G, table, unit)
+                verdicts.append(True)
+            except InvalidRing:
+                verdicts.append(False)
+            assert verdicts[-1] == expected, (G.invariant_factors, unit)
+    # every moved table is a ring, and a moved table with another unit is not
+    assert verdicts.count(True) >= 32 and verdicts.count(False) >= 32
+
+
+def endomorphism_table(R, G, rng):
+    """r·m = Σ r_i·B_i(m) for random endomorphisms B_i of G."""
+    H, decode = fp_hom_group(G, G)
+    endos = [decode(rng.choice(H.elements())) for _ in R.generators()]
+    return {(r, m): combination(G, r, [B.apply(m) for B in endos])
+            for r in R.elements() for m in G.elements()}
+
+
+def test_module_from_action_table_matches_elementwise_reference():
+    """Seeded tables over Z/4, Z/6, F2x and Z[x]/(4, 2x, x²): known modules
+    moved by random additive automorphisms, the same with one (r, m)
+    changed, and tables from random endomorphisms of the generators' actions,
+    also on groups whose exponent R's additive orders do not kill."""
+    Z4, Z6, F2x, Z4x = ring_zmod(4), ring_zmod(6), ring_f2x(), ring_z4_x()
+
+    def summed(*ms):
+        return module_direct_sum(list(ms))[0]
+
+    known = [
+        zmod_module(Z4, 2), regular_module(Z4),
+        summed(zmod_module(Z4, 2), regular_module(Z4)),
+        zmod_module(Z6, 3), regular_module(Z6),
+        summed(zmod_module(Z6, 2), zmod_module(Z6, 2)),
+        zmod_module(F2x, 2), regular_module(F2x),
+        summed(zmod_module(F2x, 2), zmod_module(F2x, 2)),
+        zmod_module(Z4x, 2), regular_module(Z4x),
+        module_from_integer_action(Z4x, fp_from_factors([4]),
+                                   lambda r: 2 * r[0] + r[1]),
+    ]
+    rng = random.Random(6)
+    cases = []
+    for M in known:
+        R, G = M.ring, M.additive
+        for _ in range(3):
+            phi = random_automorphism(G, rng)
+            moved = {(r, phi[m]): phi[M.act(r, m)]
+                     for r in R.elements() for m in G.elements()}
+            cases += [(R, G, moved), (R, G, perturbed(moved, rng,
+                                                      G.elements())),
+                      (R, G, endomorphism_table(R, G, rng))]
+    for R, factors in [(Z4, [8]), (Z6, [4]), (F2x, [2, 4]), (Z4x, [8])]:
+        G = fp_from_factors(factors)
+        cases += [(R, G, endomorphism_table(R, G, rng)) for _ in range(8)]
+    verdicts = []
+    for R, G, table in cases:
+        expected = reference_module_accepts(R, G, table)
+        try:
+            N = module_from_action_table(R, G, table)
+            verdicts.append(True)
+        except ValueError:
+            verdicts.append(False)
+        else:
+            assert len(N.action) == len(R.additive.invariant_factors)
+        assert verdicts[-1] == expected, (R.name, G.invariant_factors)
+    # every moved table is a module; changing one entry of it never gives one
+    assert verdicts.count(True) >= 36 and verdicts.count(False) >= 36
+
+
+def test_left_ideals_match_subset_closure_reference():
+    for R in [ring_zmod(n) for n in range(2, 13)] + [ring_f2x(),
+                                                     ring_z4_x()]:
+        assert left_ideals(R) == reference_left_ideals(R), R.name

@@ -132,14 +132,17 @@ ENTRIES = [
 ]
 
 
+def render(name, kind, note, make):
+    """The text of one entry's data file."""
+    data = {"name": name, "kind": kind, "note": note, "payload": make()}
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 def main():
     OUT.mkdir(exist_ok=True)
-    for name, kind, note, make in ENTRIES:
-        data = {"name": name, "kind": kind, "note": note,
-                "payload": make()}
-        text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-        (OUT / (name + ".json")).write_text(text)
-        print("wrote", name)
+    for entry in ENTRIES:
+        (OUT / (entry[0] + ".json")).write_text(render(*entry))
+        print("wrote", entry[0])
 
 
 if __name__ == "__main__":
