@@ -89,12 +89,21 @@ def _build_space(payload):
     return space_from_json(json.dumps(payload))
 
 
+def _element(elems, field, i):
+    """elems[i] for a payload index i, which must be an int in range."""
+    if type(i) is not int or not 0 <= i < len(elems):
+        raise InvalidEntry("%s: element index %r is not in 0..%d"
+                           % (field, i, len(elems) - 1))
+    return elems[i]
+
+
 def _build_ring(payload):
     G = fp_from_factors(payload["invariant_factors"])
     elems = G.elements()
-    mul = {(elems[i], elems[j]): elems[k] for i, j, k in payload["mul"]}
+    mul = {(_element(elems, "mul", i), _element(elems, "mul", j)):
+           _element(elems, "mul", k) for i, j, k in payload["mul"]}
     return validate_ring(payload["ring_name"], G, mul,
-                         elems[payload["one"]])
+                         _element(elems, "one", payload["one"]))
 
 
 def _build_module(payload):
@@ -102,7 +111,8 @@ def _build_module(payload):
     G = fp_from_factors(payload["invariant_factors"])
     relems = ring.elements()
     melems = G.elements()
-    table = {(relems[r], melems[m]): melems[out]
+    table = {(_element(relems, "action", r), _element(melems, "action", m)):
+             _element(melems, "action", out)
              for r, m, out in payload["action"]}
     return module_from_action_table(ring, G, table)
 

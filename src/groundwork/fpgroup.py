@@ -171,30 +171,25 @@ def fp_direct_sum(groups):
     groups = list(groups)
     gens = sum(g.gens for g in groups)
     total_rel_cols = sum(g.relations.cols for g in groups)
-    rows = []
+    rels = []
     col_off = 0
-    row_off = 0
-    rels = [[0] * total_rel_cols for _ in range(gens)]
     for g in groups:
-        for i in range(g.gens):
-            for j in range(g.relations.cols):
-                rels[row_off + i][col_off + j] = g.relations[i, j]
-        row_off += g.gens
+        pad = total_rel_cols - col_off - g.relations.cols
+        rels.extend((0,) * col_off + row + (0,) * pad
+                    for row in g.relations.entries)
         col_off += g.relations.cols
-    total = fp_from_presentation(gens, IntMatrix.from_rows(rels) if gens
-                                 else IntMatrix.zeros(0, 0))
+    total = fp_from_presentation(
+        gens, IntMatrix(gens, total_rel_cols, tuple(rels)) if gens
+        else IntMatrix.zeros(0, 0))
     inclusions, projections = [], []
     row_off = 0
     for g in groups:
-        inc = [[0] * g.gens for _ in range(gens)]
-        proj = [[0] * gens for _ in range(g.gens)]
-        for i in range(g.gens):
-            inc[row_off + i][i] = 1
-            proj[i][row_off + i] = 1
-        inclusions.append(FpMorphism(g, total, IntMatrix.from_rows(inc)
-                                     if gens else IntMatrix.zeros(0, g.gens)))
-        projections.append(FpMorphism(total, g, IntMatrix.from_rows(proj)
-                                      if g.gens else IntMatrix.zeros(0, gens)))
+        pad = gens - row_off - g.gens
+        proj = IntMatrix(g.gens, gens, tuple(
+            (0,) * row_off + row + (0,) * pad
+            for row in IntMatrix.identity(g.gens).entries))
+        inclusions.append(FpMorphism(g, total, proj.transpose()))
+        projections.append(FpMorphism(total, g, proj))
         row_off += g.gens
     return total, inclusions, projections
 
@@ -211,10 +206,8 @@ class FpMorphism:
             raise IllDefinedMorphism("matrix shape does not match groups")
 
     def is_well_defined(self) -> bool:
-        for j in range(self.source.relations.cols):
-            r = self.source.relations.col(j)
-            img = self.matrix.mul_vec(r)
-            if any(x != 0 for x in self.target.normal_form(img)):
+        for r in self.source.relations.columns():
+            if any(self.target.normal_form(self.matrix.mul_vec(r))):
                 return False
         return True
 
@@ -259,8 +252,7 @@ class FpMorphism:
     def kernel_lattice(self) -> IntMatrix:
         """Lattice {x in Z^{source.gens} : f(x) = 0}, canonical HNF."""
         big = kernel(self.matrix.hstack(self.target.relations))
-        cols = [list(big.col(j))[:self.source.gens]
-                for j in range(big.cols)]
+        cols = [c[:self.source.gens] for c in big.columns()]
         cols.extend(self.source.relations.columns())
         return hnf(IntMatrix.from_cols(cols, rows=self.source.gens))
 
@@ -281,12 +273,9 @@ def fp_zero_morphism(A: FpAbGroup, B: FpAbGroup) -> FpMorphism:
     return FpMorphism(A, B, IntMatrix.zeros(B.gens, A.gens))
 
 
-def fp_kernel_cokernel(f: FpMorphism):
-    """Kernel with inclusion and cokernel with projection.
-
-    Returns ((ker, incl), (coker, proj)); incl: ker -> source and
-    proj: target -> coker are witness morphisms.
-    """
+def fp_kernel(f: FpMorphism):
+    """Kernel of f with its inclusion: returns (ker, incl), where
+    incl: ker -> f.source is the witness morphism."""
     f.check()
     K = f.kernel_lattice()
     ker_gens = K.cols
@@ -297,11 +286,17 @@ def fp_kernel_cokernel(f: FpMorphism):
     ker = fp_from_presentation(
         ker_gens, IntMatrix.from_cols(rel_cols, rows=ker_gens)
         if rel_cols else IntMatrix.zeros(ker_gens, 0))
-    incl = FpMorphism(ker, f.source, K)
+    return ker, FpMorphism(ker, f.source, K)
+
+
+def fp_cokernel(f: FpMorphism):
+    """Cokernel of f with its projection: returns (coker, proj), where
+    proj: f.target -> coker is the witness morphism."""
+    f.check()
     coker = fp_from_presentation(
         f.target.gens, f.target.relations.hstack(f.matrix))
-    proj = FpMorphism(f.target, coker, IntMatrix.identity(f.target.gens))
-    return (ker, incl), (coker, proj)
+    return coker, FpMorphism(f.target, coker,
+                             IntMatrix.identity(f.target.gens))
 
 
 def fp_exact_at(f: FpMorphism, g: FpMorphism) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter, mul
 
 
 def xgcd(a: int, b: int):
@@ -29,6 +30,11 @@ def xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
+def _identity_rows(n: int) -> list:
+    """The n×n identity as a list of fresh int lists."""
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     rows: int
@@ -44,7 +50,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows_data) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in row) for row in rows_data)
+        data = tuple(tuple(map(int, row)) for row in rows_data)
         nrows = len(data)
         ncols = len(data[0]) if data else 0
         return IntMatrix(nrows, ncols, data)
@@ -57,13 +63,11 @@ class IntMatrix:
         m = len(cols_data[0])
         if m == 0:
             return IntMatrix(0, len(cols_data), ())
-        return IntMatrix.from_rows(
-            [[col[i] for col in cols_data] for i in range(m)])
+        return IntMatrix.from_rows(zip(*cols_data, strict=True))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return IntMatrix(n, n, tuple(map(tuple, _identity_rows(n))))
 
     @staticmethod
     def zeros(m: int, n: int) -> "IntMatrix":
@@ -84,15 +88,15 @@ class IntMatrix:
         return self.entries[i]
 
     def col(self, j):
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        return tuple(map(itemgetter(j), self.entries))
 
     def columns(self):
-        return [list(self.col(j)) for j in range(self.cols)]
+        return [list(c) for c in self.transpose().entries]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows(
-            [[self.entries[i][j] for i in range(self.rows)]
-             for j in range(self.cols)])
+        # zip(*entries) loses the column count when there are no rows
+        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries))
+                         if self.rows else ((),) * self.cols)
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -100,13 +104,13 @@ class IntMatrix:
         ot = other.transpose().entries
         return IntMatrix(
             self.rows, other.cols,
-            tuple(tuple(sum(a * b for a, b in zip(row, ocol)) for ocol in ot)
+            tuple(tuple(sum(map(mul, row, ocol)) for ocol in ot)
                   for row in self.entries))
 
     def mul_vec(self, v):
         if self.cols != len(v):
             raise ValueError("shape mismatch in matrix-vector product")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        return tuple(sum(map(mul, row, v)) for row in self.entries)
 
     def add(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -213,7 +217,7 @@ def hnf(A: IntMatrix) -> IntMatrix:
 def hnf_with_transform(A: IntMatrix):
     """Returns (H, V, rank) with A·V column-echelon, H = nonzero part."""
     cols = A.columns()
-    companion = IntMatrix.identity(A.cols).columns()
+    companion = _identity_rows(A.cols)
     _, rank = _hnf_cols(cols, A.rows, companion)
     H = IntMatrix.from_cols(cols[:rank], rows=A.rows)
     V = IntMatrix.from_cols(companion, rows=A.cols)
@@ -223,7 +227,7 @@ def hnf_with_transform(A: IntMatrix):
 def kernel(A: IntMatrix) -> IntMatrix:
     """Basis (columns, HNF-canonical) of the integer kernel of A."""
     cols = A.columns()
-    companion = IntMatrix.identity(A.cols).columns()
+    companion = _identity_rows(A.cols)
     _, rank = _hnf_cols(cols, A.rows, companion)
     ker_cols = companion[rank:]
     _hnf_cols(ker_cols, A.cols)
@@ -240,9 +244,9 @@ def snf(A: IntMatrix):
     """
     m, n = A.rows, A.cols
     M = [list(row) for row in A.entries]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    W = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    U = _identity_rows(m)
+    W = _identity_rows(m)
+    V = _identity_rows(n)
 
     def row_op_sub(i, q, t):  # row_i -= q * row_t; col_t += q * col_i
         Mi, Mt = M[i], M[t]
@@ -333,7 +337,8 @@ def snf(A: IntMatrix):
                 row_swap(i, i + 1)
                 changed = True
                 break
-    return (IntMatrix.from_rows(M), IntMatrix(m, m, tuple(map(tuple, U))),
+    return (IntMatrix(m, n, tuple(map(tuple, M))),
+            IntMatrix(m, m, tuple(map(tuple, U))),
             IntMatrix(n, n, tuple(map(tuple, V))),
             IntMatrix(m, m, tuple(zip(*W))))
 

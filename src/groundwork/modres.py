@@ -32,9 +32,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fpgroup import (FpAbGroup, FpMorphism, fp_direct_sum, fp_exact_at,
-                      fp_free, fp_from_factors, fp_from_presentation,
-                      fp_hom_group, fp_kernel_cokernel)
+from .fpgroup import (FpAbGroup, FpMorphism, fp_cokernel, fp_direct_sum,
+                      fp_exact_at, fp_free, fp_from_factors,
+                      fp_from_presentation, fp_hom_group)
 from .intmat import IntMatrix, det, hnf, solve_many
 
 
@@ -388,7 +388,7 @@ def module_cokernel(f: FpMorphism, target_module: FiniteModule):
     """Cokernel of an R-linear map landing in target_module.
 
     Returns (Q: FiniteModule, proj: FpMorphism)."""
-    (_, _), (coker, proj) = fp_kernel_cokernel(f)
+    coker, proj = fp_cokernel(f)
     Q = validate_module(target_module.ring, coker, [
         FpMorphism(coker, coker, A.matrix).check()
         for A in target_module.action])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fpgroup import (FpAbGroup, FpMorphism, fp_direct_sum, fp_from_factors,
-                      fp_from_presentation, fp_kernel_cokernel,
+                      fp_cokernel, fp_from_presentation, fp_kernel,
                       fp_zero_morphism, fp_exact_at, fp_identity, fp_trivial)
 from .intmat import IntMatrix
 from .intmat import solve_many
@@ -80,7 +80,7 @@ def fp_cohomology_at(d_prev, d: FpMorphism):
 
     Returns (H, K, incl): H shares its generators with the kernel group K,
     so K-coordinates project to H classes by normal_form."""
-    (K, incl), _ = fp_kernel_cokernel(d)
+    K, incl = fp_kernel(d)
     if d_prev is None:
         H = fp_from_presentation(K.gens, K.relations)
     else:
@@ -233,7 +233,7 @@ def sections(F: AbelianSheaf, U) -> SectionSpace:
         c = _fp_sub(projs[index[q]],
                     F.comaps[(p, q)].compose(projs[index[p]]))
         delta = _fp_add(delta, tinc.compose(c))
-    (K, incl), _ = fp_kernel_cokernel(delta)
+    K, incl = fp_kernel(delta)
     return SectionSpace(K, incl, prod, tuple(pts), tuple(incs), tuple(projs))
 
 
@@ -614,7 +614,7 @@ def _godement_finite(F: AbelianSheaf):
         for p in X.points})
     Qs, projs = {}, {}
     for p in X.points:
-        _, (Qs[p], projs[p]) = fp_kernel_cokernel(embed.components[p])
+        Qs[p], projs[p] = fp_cokernel(embed.components[p])
     Q = AbelianSheaf(X, Qs, {(p, q): FpMorphism(Qs[p], Qs[q], f.matrix).check()
                              for (p, q), f in comaps.items()})
     return G, embed, SheafMap(G, Q, projs)

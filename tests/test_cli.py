@@ -107,6 +107,31 @@ def test_validate_malformed_json_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("entry,field,value,index", [
+    ("Z4", "one", 99, 99),
+    ("Z4", "mul", [0, 0, -9], -9),
+    ("Z2-over-Z4", "action", [0, 0, 7], 7),
+    ("Z4", "one", -1, -1),
+    ("Z4", "mul", [-1, 0, 0], -1),
+    ("Z2-over-Z4", "action", [0, -1, 0], -1),
+])
+def test_validate_element_index_out_of_range_exits_2(tmp_path, entry, field,
+                                                     value, index):
+    # a negative index must not wrap round to another element
+    path = tmp_path / "bad.json"
+    catalog.dump(entry, path)
+    data = json.loads(path.read_text())
+    if field == "one":
+        data["payload"]["one"] = value
+    else:
+        data["payload"][field][0] = value
+    path.write_text(json.dumps(data))
+    code, out = run("validate", str(path))
+    assert code == 2
+    assert out.startswith("input error: ")
+    assert "%s: element index %d " % (field, index) in out
+
+
 def test_unknown_catalog_name_exits_2():
     code, out = run("cohomology", "--space", "nope", "--coef", "Z2")
     assert code == 2

@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from groundwork.intmat import IntMatrix
+from groundwork.intmat import IntMatrix, hnf
 from groundwork.fpgroup import (FpMorphism, IllDefinedMorphism, fp_cyclic,
                                 fp_direct_sum, fp_exact_at, fp_free,
                                 fp_from_factors, fp_from_presentation,
-                                fp_hom_group, fp_identity, fp_kernel_cokernel,
-                                fp_trivial, fp_zero_morphism)
+                                fp_cokernel, fp_hom_group, fp_identity,
+                                fp_kernel, fp_trivial, fp_zero_morphism)
 
 
 def brute_hom_count(A, B):
@@ -140,7 +140,8 @@ def test_hom_multiplicativity():
 def test_kernel_cokernel_times_two_on_z4():
     G = fp_cyclic(4)
     f = FpMorphism(G, G, IntMatrix.from_rows([[2]]))
-    (ker, incl), (coker, proj) = fp_kernel_cokernel(f)
+    ker, incl = fp_kernel(f)
+    coker, proj = fp_cokernel(f)
     assert ker.invariant_factors == (2,)
     assert coker.invariant_factors == (2,)
     assert incl.is_well_defined() and incl.is_monic()
@@ -153,11 +154,13 @@ def test_kernel_cokernel_times_two_on_z4():
 
 def test_kernel_cokernel_identity_and_zero():
     G = fp_from_factors([2, 4])
-    (ker, _), (coker, _) = fp_kernel_cokernel(fp_identity(G))
+    ker, _ = fp_kernel(fp_identity(G))
+    coker, _ = fp_cokernel(fp_identity(G))
     assert ker.is_trivial()
     assert coker.is_trivial()
     B = fp_cyclic(3)
-    (ker, incl), (coker, _) = fp_kernel_cokernel(fp_zero_morphism(G, B))
+    ker, incl = fp_kernel(fp_zero_morphism(G, B))
+    coker, _ = fp_cokernel(fp_zero_morphism(G, B))
     assert ker.invariant_factors == G.invariant_factors
     assert coker.invariant_factors == B.invariant_factors
 
@@ -166,7 +169,8 @@ def test_rank_nullity_free():
     A = fp_free(3)
     B = fp_free(2)
     f = FpMorphism(A, B, IntMatrix.from_rows([[1, 0, 2], [0, 2, 4]]))
-    (ker, _), (coker, _) = fp_kernel_cokernel(f)
+    ker, _ = fp_kernel(f)
+    coker, _ = fp_cokernel(f)
     rank_im = 3 - ker.free_rank()
     assert ker.free_rank() + rank_im == 3
     assert rank_im == 2
@@ -187,3 +191,139 @@ def test_exactness_helper():
     assert fp_exact_at(f, g)
     h = fp_zero_morphism(Z4, Z2)
     assert not fp_exact_at(f, h)
+
+
+# -- kernels, cokernels and well-definedness against independent oracles -----
+
+
+def random_finite_group(rng):
+    """A finite group on 0-3 generators from a random square relation
+    matrix of small nonzero determinant, sometimes with extra relations."""
+    gens = rng.randint(0, 3)
+    while True:
+        rels = [[rng.randint(-3, 3) for _ in range(gens)]
+                for _ in range(gens)]
+        if gens and rng.random() < 0.3:
+            for row in rels:
+                row.append(rng.randint(-4, 4))
+        R = IntMatrix.from_rows(rels) if gens else IntMatrix.zeros(0, 0)
+        G = fp_from_presentation(gens, R)
+        if G.is_finite() and G.order() <= 24:
+            return G
+
+
+def lattice_well_defined(M, A, B):
+    """M maps A's relations into B's iff adding the columns M·R_A to R_B
+    leaves the lattice of R_B unchanged."""
+    image = M.mul(A.relations)
+    return hnf(B.relations).entries == \
+        hnf(B.relations.hstack(image)).entries
+
+
+def random_well_defined_matrix(rng, A, B):
+    """A random element of Hom(A, B), moved by random relations of B."""
+    H, decode = fp_hom_group(A, B)
+    M = decode(tuple(rng.randrange(d) if d else rng.randint(-3, 3)
+                     for d in H.invariant_factors)).matrix
+    cols = M.columns()
+    for col in cols:
+        for j in range(B.relations.cols):
+            c = rng.randint(-2, 2)
+            for i in range(B.gens):
+                col[i] += c * B.relations[i, j]
+    return IntMatrix.from_cols(cols, rows=B.gens) if A.gens \
+        else IntMatrix.zeros(B.gens, 0)
+
+
+def test_kernel_and_cokernel_orders_and_exactness():
+    rng = random.Random(29)
+    for _ in range(80):
+        A, B = random_finite_group(rng), random_finite_group(rng)
+        f = FpMorphism(A, B, random_well_defined_matrix(rng, A, B))
+        ker, incl = fp_kernel(f)
+        coker, proj = fp_cokernel(f)
+        assert incl.source is ker and incl.target is f.source
+        assert proj.source is f.target and proj.target is coker
+        zeros = sum(1 for x in A.elements() if f.apply(x) == B.zero())
+        assert ker.order() == zeros
+        assert coker.order() * A.order() == B.order() * ker.order()
+        assert fp_exact_at(incl, f)
+        assert fp_exact_at(f, proj)
+
+
+def test_kernel_and_cokernel_reject_ill_defined_maps():
+    rng = random.Random(31)
+    rejected = 0
+    while rejected < 40:
+        A, B = random_finite_group(rng), random_finite_group(rng)
+        M = IntMatrix.from_rows(
+            [[rng.randint(-3, 3) for _ in range(A.gens)]
+             for _ in range(B.gens)]) if B.gens else IntMatrix.zeros(0, A.gens)
+        if lattice_well_defined(M, A, B):
+            continue
+        f = FpMorphism(A, B, M)
+        with pytest.raises(IllDefinedMorphism):
+            fp_kernel(f)
+        with pytest.raises(IllDefinedMorphism):
+            fp_cokernel(f)
+        rejected += 1
+
+
+def test_is_well_defined_matches_lattice_oracle():
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(150):
+        A, B = random_finite_group(rng), random_finite_group(rng)
+        if rng.random() < 0.3:    # free summands in source or target
+            A = fp_from_factors([rng.choice([2, 3]), 0])
+            B = fp_free(rng.randint(0, 2)) if rng.random() < 0.5 else B
+        M = random_well_defined_matrix(rng, A, B)
+        if A.gens and B.gens and rng.random() < 0.7:
+            # perturb one entry
+            rows = [list(r) for r in M.entries]
+            rows[rng.randrange(B.gens)][rng.randrange(A.gens)] += \
+                rng.choice([-1, 1])
+            M = IntMatrix.from_rows(rows)
+        expected = lattice_well_defined(M, A, B)
+        assert FpMorphism(A, B, M).is_well_defined() == expected
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_direct_sum_matches_block_formulas():
+    rng = random.Random(47)
+    # a group on no generators that still carries relation columns
+    empty = fp_from_presentation(0, IntMatrix(0, 2, ()))
+    for _ in range(40):
+        groups = [rng.choice([empty, fp_trivial(), fp_free(1)])
+                  if rng.random() < 0.3 else random_finite_group(rng)
+                  for _ in range(rng.randint(0, 4))]
+        total, incs, projs = fp_direct_sum(groups)
+        gens = sum(g.gens for g in groups)
+        ncols = sum(g.relations.cols for g in groups)
+        rels = [[0] * ncols for _ in range(gens)]
+        r0 = c0 = 0
+        for g in groups:
+            for i in range(g.gens):
+                for j in range(g.relations.cols):
+                    rels[r0 + i][c0 + j] = g.relations[i, j]
+            r0 += g.gens
+            c0 += g.relations.cols
+        if gens:
+            assert (total.relations.rows, total.relations.cols) == \
+                (gens, ncols)
+            assert total.relations.entries == tuple(map(tuple, rels))
+        else:
+            assert total.relations.entries == ()
+        r0 = 0
+        for g, inc, proj in zip(groups, incs, projs):
+            assert (inc.matrix.rows, inc.matrix.cols) == (gens, g.gens)
+            assert (proj.matrix.rows, proj.matrix.cols) == (g.gens, gens)
+            assert inc.matrix.entries == tuple(
+                tuple(int(i == r0 + j) for j in range(g.gens))
+                for i in range(gens))
+            assert proj.matrix.entries == tuple(
+                tuple(int(j == r0 + i) for j in range(gens))
+                for i in range(g.gens))
+            assert inc.is_well_defined() and proj.is_well_defined()
+            r0 += g.gens
