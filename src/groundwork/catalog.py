@@ -97,11 +97,20 @@ def _element(elems, field, i):
     return elems[i]
 
 
+def _triples(payload, field):
+    """The payload's entries under field, each a list of three indices."""
+    for entry in payload[field]:
+        if type(entry) is not builtins.list or len(entry) != 3:
+            raise InvalidEntry("%s: entry %r is not a list of three indices"
+                               % (field, entry))
+    return payload[field]
+
+
 def _build_ring(payload):
     G = fp_from_factors(payload["invariant_factors"])
     elems = G.elements()
     mul = {(_element(elems, "mul", i), _element(elems, "mul", j)):
-           _element(elems, "mul", k) for i, j, k in payload["mul"]}
+           _element(elems, "mul", k) for i, j, k in _triples(payload, "mul")}
     return validate_ring(payload["ring_name"], G, mul,
                          _element(elems, "one", payload["one"]))
 
@@ -113,7 +122,7 @@ def _build_module(payload):
     melems = G.elements()
     table = {(_element(relems, "action", r), _element(melems, "action", m)):
              _element(melems, "action", out)
-             for r, m, out in payload["action"]}
+             for r, m, out in _triples(payload, "action")}
     return module_from_action_table(ring, G, table)
 
 

@@ -21,8 +21,8 @@ from .frac import check_ore, hom_table, localize, normalize_arrow_class
 from .intmat import IntMatrix
 from .modres import (DEFAULT_ELEMENT_CAP, ResourceCap, baer_check, ext,
                      injective_resolution, regular_module, zmod_module)
-from .mttchk import (AbstractError, ParseError, abstract_wf, is_delta0,
-                     is_set_theoretic, parse_formula, parse_term)
+from .mttchk import (ParseError, abstract_wf, is_delta0, is_set_theoretic,
+                     parse_formula, parse_term)
 from .presheaf import (enumerate_presheaf_maps, presheaf_from_json_obj,
                        representable, yoneda_bijection)
 from .shcoh import (SheafMap, cech_cohomology, constant_sheaf,

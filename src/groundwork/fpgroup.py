@@ -4,6 +4,9 @@ A group is a free abelian group on `gens` generators modulo the column
 lattice of `relations`.  The Smith normal form of the relation matrix gives
 the canonical invariant factors (unit factors dropped, 0 encoding a free
 summand) and a working coordinate system for element arithmetic.
+`fp_cohomology_at`, `fp_factor_through` and `fp_preimages` are the one home
+for complexes of groups: cohomology as ker/im, maps into a kernel, and
+chosen preimages.
 """
 from __future__ import annotations
 
@@ -170,17 +173,8 @@ def fp_direct_sum(groups):
     """Direct sum with inclusion and projection morphisms."""
     groups = list(groups)
     gens = sum(g.gens for g in groups)
-    total_rel_cols = sum(g.relations.cols for g in groups)
-    rels = []
-    col_off = 0
-    for g in groups:
-        pad = total_rel_cols - col_off - g.relations.cols
-        rels.extend((0,) * col_off + row + (0,) * pad
-                    for row in g.relations.entries)
-        col_off += g.relations.cols
     total = fp_from_presentation(
-        gens, IntMatrix(gens, total_rel_cols, tuple(rels)) if gens
-        else IntMatrix.zeros(0, 0))
+        gens, IntMatrix.block_diagonal(g.relations for g in groups))
     inclusions, projections = [], []
     row_off = 0
     for g in groups:
@@ -302,6 +296,37 @@ def fp_cokernel(f: FpMorphism):
 def fp_exact_at(f: FpMorphism, g: FpMorphism) -> bool:
     """Is im(f) = ker(g) inside f.target (= g.source)?"""
     return lattices_equal(f.image_lattice(), g.kernel_lattice())
+
+
+def fp_preimages(f: FpMorphism, ys):
+    """One x with f(x) = y (deterministic), or None, for each y in ys."""
+    sols = int_solve(f.matrix.hstack(f.target.relations),
+                     [f.target.lift(y) for y in ys])
+    return [None if sol is None else
+            f.source.normal_form(sol[:f.source.gens]) for sol in sols]
+
+
+def fp_factor_through(incl: FpMorphism, g: FpMorphism) -> FpMorphism:
+    """h with incl ∘ h = g; every caller guarantees im(g) ⊆ im(incl)."""
+    sols = int_solve(incl.matrix.hstack(incl.target.relations),
+                     g.matrix.columns())
+    if None in sols:
+        raise RuntimeError("map does not factor through the subgroup")
+    return FpMorphism(g.source, incl.source, IntMatrix.from_cols(
+        [sol[:incl.source.gens] for sol in sols],
+        rows=incl.source.gens)).check()
+
+
+def fp_cohomology_at(d_prev, d: FpMorphism):
+    """Cohomology ker(d)/im(d_prev) of a complex of groups; d_prev None
+    stands for the zero map.
+
+    Returns (H, K, incl): H shares its generators with the kernel group K,
+    so K-coordinates project to H classes by normal_form."""
+    K, incl = fp_kernel(d)
+    rels = K.relations if d_prev is None else \
+        K.relations.hstack(fp_factor_through(incl, d_prev).matrix)
+    return fp_from_presentation(K.gens, rels), K, incl
 
 
 def fp_hom_group(A: FpAbGroup, B: FpAbGroup):

@@ -80,6 +80,17 @@ class IntMatrix:
         return IntMatrix.from_rows(
             [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
+    @staticmethod
+    def block_diagonal(blocks) -> "IntMatrix":
+        blocks = list(blocks)
+        cols = sum(B.cols for B in blocks)
+        rows, off = [], 0
+        for B in blocks:
+            rows.extend((0,) * off + row + (0,) * (cols - off - B.cols)
+                        for row in B.entries)
+            off += B.cols
+        return IntMatrix(len(rows), cols, tuple(rows))
+
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]

@@ -22,6 +22,19 @@ orders d_i.  f is fixed by the f(g_i), which lie in the d_i-torsion
 Hom_Z(R, D) = ⊕_i (Z/d_i)^n, and r acts by the block matrix whose (j, i)
 block is (c_ij·d_j/d_i)·I, where c_ij is the g_i-coordinate of r·g_j.
 
+Hom_R(M, N) is a kernel.  h is stored as its values on M's presentation
+generators, so Hom_R(M, N) is the subgroup of N^k cut out by M's relations
+and by commuting with each additive generator of R.  Ext^n is the
+cohomology of Hom_R(M, -) applied to an injective resolution of N, with
+ker/im taken by fpgroup's complex helpers.  Baer's criterion asks, for each
+left ideal J, that restriction Hom_R(R, I) = I -> Hom_R(J, I) be onto,
+which is an exactness test on two lattices.  None of the three lists the
+elements of a group.
+
+The element cap bounds the order of each coinduced module, although no
+element of one is listed: it bounds the size of what a resolution builds,
+and a resolution with a term past it raises ResourceCap.
+
 Stage zero of a resolution uses the hull on all module elements; later
 stages use the hull on a minimal generating set — the element-based hull
 re-applied at every stage grows doubly exponentially and is unusable even
@@ -32,9 +45,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fpgroup import (FpAbGroup, FpMorphism, fp_cokernel, fp_direct_sum,
-                      fp_exact_at, fp_free, fp_from_factors,
-                      fp_from_presentation, fp_hom_group)
+from .fpgroup import (FpAbGroup, FpMorphism, fp_cohomology_at, fp_cokernel,
+                      fp_direct_sum, fp_exact_at, fp_factor_through, fp_free,
+                      fp_from_factors, fp_from_presentation, fp_hom_group,
+                      fp_kernel, fp_preimages)
 from .intmat import IntMatrix, det, hnf, solve_many
 
 
@@ -243,12 +257,9 @@ def module_direct_sum(modules):
     """Direct sum of modules over the same ring; returns (M, incls, projs)."""
     ring = modules[0].ring
     total, incs, projs = fp_direct_sum([m.additive for m in modules])
-    action = []
-    for As in zip(*(m.action for m in modules)):
-        mat = IntMatrix.zeros(total.gens, total.gens)
-        for A, i, p in zip(As, incs, projs):
-            mat = mat.add(i.matrix.mul(A.matrix).mul(p.matrix))
-        action.append(FpMorphism(total, total, mat).check())
+    action = [FpMorphism(total, total, IntMatrix.block_diagonal(
+        A.matrix for A in As)).check() for As in zip(*(m.action
+                                                      for m in modules))]
     M = validate_module(ring, total, action)
     return M, incs, projs
 
@@ -258,6 +269,43 @@ def is_r_linear(h: FpMorphism, source: FiniteModule,
     # the actions of R's generators suffice: both sides are additive in r
     return all(h.compose(A).agrees_with(B.compose(h))
                for A, B in zip(source.action, target.action))
+
+
+# -- Hom_R as a kernel ------------------------------------------------------
+
+
+def _hom_constraints(M: FiniteModule, N: FiniteModule) -> FpMorphism:
+    """The map N^k -> N^(rels + k·gens(R)), k = M.additive.gens, whose
+    kernel is Hom_R(M, N).
+
+    h is stored as its values n_j on M's presentation generators e_j.  It
+    must kill each relation column l of M (Σ_j R_jl·n_j = 0) and commute
+    with each additive generator g of R acting as A_g on M and B_g on N
+    (Σ_j (A_g)_ji·n_j − B_g·n_i = 0 for each i).
+    """
+    k, n = M.additive.gens, N.additive.gens
+    rels = M.additive.relations
+    blocks = [(rels.col(l), None) for l in range(rels.cols)]
+    blocks += [(A.matrix.col(i), (i, B.matrix))
+               for A, B in zip(M.action, N.action) for i in range(k)]
+    rows = []
+    for coeffs, twist in blocks:
+        for a in range(n):
+            row = [c if a == b else 0 for c in coeffs for b in range(n)]
+            if twist:
+                i, B = twist
+                for b in range(n):
+                    row[i * n + b] -= B[a, b]
+            rows.append(tuple(row))
+    return FpMorphism(fp_direct_sum([N.additive] * k)[0],
+                      fp_direct_sum([N.additive] * len(blocks))[0],
+                      IntMatrix(len(rows), k * n, tuple(rows))).check()
+
+
+def hom_r(M: FiniteModule, N: FiniteModule):
+    """Hom_R(M, N) as (H, incl), where incl: H -> N^k sends h to its values
+    on M's k presentation generators."""
+    return fp_kernel(_hom_constraints(M, N))
 
 
 # -- divisible hulls ---------------------------------------------------------
@@ -500,169 +548,62 @@ def ideal_module(R: FiniteRing, ideal_elements):
     return J, incl
 
 
-def r_linear_homs(source: FiniteModule, target: FiniteModule):
-    """All R-linear maps source -> target as FpMorphisms (enumerated)."""
-    H, decode = fp_hom_group(source.additive, target.additive)
-    out = []
-    for e in H.elements():
-        h = decode(e)
-        if is_r_linear(h, source, target):
-            out.append(h)
-    return out
-
-
 def baer_check(I: FiniteModule):
     """(verdict, witness): does every hom from a left ideal into I extend?
 
-    witness is None on success, else (ideal elements, offending morphism).
+    For each left ideal J on generators x_j, the restriction
+    I = Hom_R(R, I) -> Hom_R(J, I), m -> (x_j·m)_j, must be onto, that is
+    exact against the constraints that cut Hom_R(J, I) out of I^k.
+    witness is None on success, else (ideal elements, an R-linear map
+    J -> I that no element of I restricts to).
     """
     R = I.ring
     all_elems = tuple(sorted(R.elements()))
     zero_only = (R.zero(),)
+    n = I.additive.gens
     for ideal in left_ideals(R):
         # zero ideal and the whole ring extend trivially
         if ideal == zero_only or ideal == all_elems:
             continue
         J, incl = ideal_module(R, ideal)
-        gens = [tuple(1 if t == j else 0 for t in range(J.additive.gens))
-                for j in range(J.additive.gens)]
-        gen_elems = [J.additive.normal_form(g) for g in gens]
-        ideal_of_gen = [R.additive.normal_form(incl.matrix.mul_vec(g))
-                        for g in gens]
-        restrictions = set()
-        for m in I.elements():
-            restrictions.add(tuple(I.act(x, m) for x in ideal_of_gen))
-        for h in r_linear_homs(J, I):
-            key = tuple(h.apply(g) for g in gen_elems)
-            if key not in restrictions:
-                return False, (ideal, h)
+        constraints = _hom_constraints(J, I)
+        # row block j: x_j = Σ_i x_ji·g_i acts on I as Σ_i x_ji·A_i
+        xs = [R.additive.normal_form(c) for c in incl.matrix.columns()]
+        rows = tuple(tuple(sum(c * A.matrix[a, b]
+                               for c, A in zip(x, I.action))
+                           for b in range(n)) for x in xs for a in range(n))
+        restrict = FpMorphism(I.additive, constraints.source,
+                              IntMatrix(len(rows), n, rows))
+        if fp_exact_at(restrict, constraints):
+            continue
+        # a generator of Hom_R(J, I) that is not a restriction
+        homs = constraints.kernel_lattice().columns()
+        found = fp_preimages(restrict, [constraints.source.normal_form(h)
+                                        for h in homs])
+        h = next(h for h, m in zip(homs, found) if m is None)
+        witness = FpMorphism(J.additive, I.additive, IntMatrix.from_cols(
+            [h[j * n:(j + 1) * n] for j in range(len(xs))], rows=n)).check()
+        return False, (ideal, witness)
     return True, None
 
 
 # -- Ext ----------------------------------------------------------------------
 
 
-def _hom_canonical(h: FpMorphism) -> tuple:
-    return tuple(h.target.normal_form(h.matrix.col(j))
-                 for j in range(h.matrix.cols))
-
-
-def abelian_invariants_by_counting(elems, add, zero):
-    """Invariant factors of a finite abelian group given by its elements.
-
-    Independent of any presentation: counts p^k-torsion per prime and
-    reassembles the primary decomposition."""
-    n = len(elems)
-    if n == 1:
-        return ()
-
-    def smul(c, x):
-        acc = zero
-        for _ in range(c):
-            acc = add(acc, x)
-        return acc
-
-    primes = []
-    m, p = n, 2
-    while m > 1:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    primary = {}
-    for p in primes:
-        # ge[k-1] = number of cyclic p-factors with order >= p^k
-        ge = []
-        prev = 1
-        k = 1
-        while True:
-            t = sum(1 for e in elems if smul(p ** k, e) == zero)
-            if t == prev:
-                break
-            q, r = t // prev, 0
-            while q > 1:
-                q //= p
-                r += 1
-            ge.append(r)
-            prev = t
-            k += 1
-        count = ge[0] if ge else 0
-        primary[p] = [sum(1 for r in ge if r > i)
-                      for i in range(count)]   # exponents, descending
-    width = max(len(v) for v in primary.values())
-    inv = []
-    for i in range(width):
-        d = 1
-        for p, exps in primary.items():
-            if i < len(exps):
-                d *= p ** exps[i]
-        inv.append(d)
-    return tuple(reversed(inv))    # ascending divisibility order
-
-
-def hom_complex(M: FiniteModule, res: ResolutionComplex):
-    """Groups of R-linear homs M -> I_k plus the induced differentials.
-
-    Returns (chain_groups, diffs): chain_groups[k] is a list of canonical
-    hom keys; diffs[k] maps a key in level k to its image key in level k+1.
-    """
-    levels = []
-    homs_by_level = []
-    for I in res.terms:
-        homs = r_linear_homs(M, I)
-        homs_by_level.append(homs)
-        levels.append([_hom_canonical(h) for h in homs])
-    diffs = []
-    for k in range(len(res.terms) - 1):
-        d = res.maps[k + 1]
-        table = {}
-        for h, key in zip(homs_by_level[k], levels[k]):
-            table[key] = _hom_canonical(d.compose(h))
-        diffs.append(table)
-    return levels, diffs
-
-
 def ext(M: FiniteModule, N: FiniteModule, n_max: int,
         cap=DEFAULT_ELEMENT_CAP):
-    """Ext^0 .. Ext^n_max over the shared ring, via an injective resolution
-    of N.  Returns a list of FpAbGroups."""
+    """Ext^0 .. Ext^n_max over the shared ring, as the cohomology of
+    Hom_R(M, -) applied to an injective resolution of N.  Returns a list
+    of FpAbGroups."""
     if M.ring is not N.ring and M.ring.name != N.ring.name:
         raise InvalidModule("modules over different rings")
     res = injective_resolution(N, n_max + 1, cap=cap)
-    levels, diffs = hom_complex(M, res)
-    out = []
-    for n in range(n_max + 1):
-        G = res.terms[n].additive
-        zero_next = tuple(res.terms[n + 1].additive.zero()
-                          for _ in range(M.additive.gens))
-        kernel = [k for k in levels[n] if diffs[n][k] == zero_next]
-        zero_key = tuple(G.zero() for _ in range(M.additive.gens))
-        if n == 0:
-            image = [zero_key]
-        else:
-            image = sorted({diffs[n - 1][k] for k in levels[n - 1]})
-
-        def add_keys(a, b, G=G):
-            return tuple(G.add(x, y) for x, y in zip(a, b))
-
-        # least element of each image-coset inside the kernel
-        rep_of = {k: min(add_keys(k, i) for i in image) for k in kernel}
-        elems = sorted(set(rep_of.values()))
-        factors = abelian_invariants_by_counting(
-            elems, lambda a, b: rep_of[add_keys(a, b)], rep_of[zero_key])
-        out.append(fp_from_factors(factors))
-    return out
-
-
-def hom_r_group(M: FiniteModule, N: FiniteModule) -> FpAbGroup:
-    """Hom_R(M, N) as an abstract finite abelian group."""
-    homs = [_hom_canonical(h) for h in r_linear_homs(M, N)]
-    G = N.additive
-
-    def add(a, b):
-        return tuple(G.add(x, y) for x, y in zip(a, b))
-
-    zero = tuple(G.zero() for _ in range(M.additive.gens))
-    return fp_from_factors(
-        abelian_invariants_by_counting(sorted(homs), add, zero))
+    incls = [hom_r(M, I)[1] for I in res.terms]
+    diffs = []
+    for incl, nxt, d in zip(incls, incls[1:], res.maps[1:]):
+        # post-composition with d acts on each of h's k values
+        post = FpMorphism(incl.target, nxt.target, IntMatrix.block_diagonal(
+            [d.matrix] * M.additive.gens))
+        diffs.append(fp_factor_through(nxt, post.compose(incl)))
+    return [fp_cohomology_at(diffs[n - 1] if n else None, diffs[n])[0]
+            for n in range(n_max + 1)]

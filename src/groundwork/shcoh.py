@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fpgroup import (FpAbGroup, FpMorphism, fp_direct_sum, fp_from_factors,
-                      fp_cokernel, fp_from_presentation, fp_kernel,
-                      fp_zero_morphism, fp_exact_at, fp_identity, fp_trivial)
+                      fp_cokernel, fp_cohomology_at, fp_factor_through,
+                      fp_kernel, fp_preimages, fp_zero_morphism, fp_exact_at,
+                      fp_identity, fp_trivial)
 from .intmat import IntMatrix
-from .intmat import solve_many
 from .latpair import (LatticePairGroup, SpanLattice, latpair_kernel_image,
                       quotient_type)
 from .site import FiniteSpace
@@ -51,42 +51,6 @@ def _fp_add(f: FpMorphism, g: FpMorphism) -> FpMorphism:
 
 def _fp_sub(f: FpMorphism, g: FpMorphism) -> FpMorphism:
     return FpMorphism(f.source, f.target, f.matrix.add(g.matrix.neg()))
-
-
-def fp_preimages(f: FpMorphism, ys):
-    """One x with f(x) = y (deterministic), or None, for each y in ys."""
-    A = f.matrix.hstack(f.target.relations)
-    sols = solve_many(A, [f.target.lift(y) for y in ys])
-    return [None if sol is None else
-            f.source.normal_form(sol[:f.source.gens]) for sol in sols]
-
-
-def _factor_through(incl: FpMorphism, g: FpMorphism) -> FpMorphism:
-    """h with incl ∘ h = g, given im(g) ⊆ im(incl)."""
-    A = incl.matrix.hstack(incl.target.relations)
-    sols = solve_many(A, g.matrix.columns())
-    if None in sols:
-        raise SheafError("map does not factor through the subgroup")
-    cols = [sol[:incl.source.gens] for sol in sols]
-    if incl.source.gens == 0 or not cols:
-        mat = IntMatrix.zeros(incl.source.gens, g.matrix.cols)
-    else:
-        mat = IntMatrix.from_cols(cols, rows=incl.source.gens)
-    return FpMorphism(g.source, incl.source, mat).check()
-
-
-def fp_cohomology_at(d_prev, d: FpMorphism):
-    """Cohomology ker(d)/im(d_prev) of a complex of finite groups.
-
-    Returns (H, K, incl): H shares its generators with the kernel group K,
-    so K-coordinates project to H classes by normal_form."""
-    K, incl = fp_kernel(d)
-    if d_prev is None:
-        H = fp_from_presentation(K.gens, K.relations)
-    else:
-        factored = _factor_through(incl, d_prev)
-        H = fp_from_presentation(K.gens, K.relations.hstack(factored.matrix))
-    return H, K, incl
 
 
 # -- finite sheaves as stalk diagrams ---------------------------------------
@@ -248,7 +212,7 @@ def section_restriction(F: AbelianSheaf, su: SectionSpace,
     for i, q in enumerate(sv.points):
         j = su.points.index(q)
         pick = _fp_add(pick, sv.incs[i].compose(su.projs[j]))
-    return _factor_through(sv.incl, pick.compose(su.incl))
+    return fp_factor_through(sv.incl, pick.compose(su.incl))
 
 
 def gamma_map(phi: SheafMap, su: SectionSpace,
@@ -258,7 +222,7 @@ def gamma_map(phi: SheafMap, su: SectionSpace,
     for i, p in enumerate(su.points):
         big = _fp_add(big, sv.incs[i].compose(
             phi.components[p]).compose(su.projs[i]))
-    return _factor_through(sv.incl, big.compose(su.incl))
+    return fp_factor_through(sv.incl, big.compose(su.incl))
 
 
 # -- cohomology reports ------------------------------------------------------
@@ -700,7 +664,7 @@ def long_exact_sequence(alpha: SheafMap, beta: SheafMap,
     def h_map(chain_map, i_src, i_dst, n):
         K_s, incl_s = Kdata[i_src][n]
         K_d, incl_d = Kdata[i_dst][n]
-        f = _factor_through(incl_d, chain_map.compose(incl_s))
+        f = fp_factor_through(incl_d, chain_map.compose(incl_s))
         return FpMorphism(H[i_src][n], H[i_dst][n], f.matrix).check()
 
     def connecting(n):
@@ -717,11 +681,7 @@ def long_exact_sequence(alpha: SheafMap, beta: SheafMap,
         zk = fp_preimages(incl_d, z)
         if None in zk:
             raise SheafError("connecting image not a cocycle")
-        cols = [Kd.lift(x) for x in zk]
-        if Kd.gens == 0 or not cols:
-            mat = IntMatrix.zeros(Kd.gens, Ks.gens)
-        else:
-            mat = IntMatrix.from_cols(cols, rows=Kd.gens)
+        mat = IntMatrix.from_cols([Kd.lift(x) for x in zk], rows=Kd.gens)
         return FpMorphism(H[2][n], H[0][n + 1], mat).check()
 
     groups, maps, labels = [], [], []

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .fincat import FinCategory, FinFunctor, poset_category
 from .presheaf import (Presheaf, PresheafMap, counit_star,
-                       enumerate_presheaf_maps, u_lower_star, u_star,
-                       unit_star, validate_presheaf)
+                       enumerate_presheaf_maps, u_star, unit_star,
+                       validate_presheaf)
 
 
 class InvalidSieve(ValueError):

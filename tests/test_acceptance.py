@@ -9,16 +9,14 @@ import test_frac
 import test_intmat
 import test_mttchk
 import test_shcoh
-from test_modres import ext_cyclic_oracle
+from test_modres import ext_cyclic_oracle, module_menu
 
 from groundwork import catalog
 from groundwork.fincat import terminal_category, walking_arrow
-from groundwork.fpgroup import fp_from_factors, fp_from_presentation
+from groundwork.fpgroup import fp_from_presentation
 from groundwork.frac import localize, universal_property_check
 from groundwork.intmat import IntMatrix
-from groundwork.modres import (InvalidModule, baer_check,
-                               injective_resolution, module_direct_sum,
-                               module_from_integer_action, ring_f2x,
+from groundwork.modres import (baer_check, injective_resolution, ring_f2x,
                                ring_zmod, zmod_module, ext)
 from groundwork.mttchk import is_delta0, is_set_theoretic, parse_formula, \
     parse_term, separation_instance
@@ -113,30 +111,11 @@ def test_criterion_02_sheafification_suite():
             "(%d presheaves, %.1fs)" % (checked, elapsed))
 
 
-def _module_menu(R):
-    """The (label, module) pairs of the criterion that R actually admits."""
-    def z2():
-        if R.name in ("Z4", "Z6"):
-            return zmod_module(R, 2)
-        return module_from_integer_action(R, fp_from_factors([2]),
-                                          lambda r: r[0])
-    builders = [("Z2", z2),
-                ("Z4", lambda: zmod_module(R, 4)),
-                ("Z2+Z2", lambda: module_direct_sum([z2(), z2()])[0])]
-    out, skipped = [], []
-    for label, make in builders:
-        try:
-            out.append((label, make()))
-        except InvalidModule:
-            skipped.append(label)
-    return out, skipped
-
-
 def test_criterion_03_resolution_suite():
     start = time.monotonic()
     done = []
     for R in [ring_zmod(4), ring_zmod(6), ring_f2x()]:
-        menu, skipped = _module_menu(R)
+        menu, skipped = module_menu(R)
         assert menu, "no legal module over %s" % R.name
         for label, M in menu:
             res = injective_resolution(M, 2)

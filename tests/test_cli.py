@@ -132,6 +132,20 @@ def test_validate_element_index_out_of_range_exits_2(tmp_path, entry, field,
     assert "%s: element index %d " % (field, index) in out
 
 
+@pytest.mark.parametrize("entry,field", [("Z4", "mul"),
+                                         ("Z2-over-Z4", "action")])
+@pytest.mark.parametrize("value", [[0, 0], [0, 0, 0, 0], 5])
+def test_validate_malformed_triple_exits_2(tmp_path, entry, field, value):
+    path = tmp_path / "bad.json"
+    catalog.dump(entry, path)
+    data = json.loads(path.read_text())
+    data["payload"][field][0] = value
+    path.write_text(json.dumps(data))
+    code, out = run("validate", str(path))
+    assert code == 2
+    assert out.startswith("input error: %s: entry %r " % (field, value))
+
+
 def test_unknown_catalog_name_exits_2():
     code, out = run("cohomology", "--space", "nope", "--coef", "Z2")
     assert code == 2
