@@ -6,7 +6,8 @@ pivots, entries left of a pivot reduced modulo it) is the canonical form used
 for lattice equality throughout the package.  `snf` is the one elimination:
 it returns D = U·A·V together with U⁻¹, tracked during elimination, and
 `solve_many` is the factor-once path that solves every right-hand side
-against one SNF of A.
+against one SNF of A.  `solve_hnf` solves against a matrix already in
+Hermite form by substitution.
 """
 from __future__ import annotations
 
@@ -376,6 +377,23 @@ def solve_many(A: IntMatrix, bs):
 def solve(A: IntMatrix, b):
     """One integer solution x of A·x = b, or None."""
     return solve_many(A, [b])[0]
+
+
+def solve_hnf(H: IntMatrix, b):
+    """The integer x with H·x = b for H in column Hermite form (as `hnf`
+    returns it), or None.  Each column is zero above its pivot row, so x
+    comes by substitution down the pivot rows, with no factorization."""
+    rest = list(b)
+    x = []
+    for col in zip(*H.entries):
+        r = next(i for i, v in enumerate(col) if v)
+        q, m = divmod(rest[r], col[r])
+        if m:
+            return None
+        if q:
+            rest = [y - q * v for y, v in zip(rest, col)]
+        x.append(q)
+    return None if any(rest) else x
 
 
 def lattice_contains(L: IntMatrix, v) -> bool:

@@ -2,10 +2,17 @@
 
 This class of subgroups is closed under sum, intersection, image and
 preimage along rational linear maps, which is exactly what cochain
-complexes of divisible-valued groups need.  Canonical form: the subspace is
-kept as an RREF basis; lattice generators are reduced modulo the subspace
-and Hermite-reduced on the complementary coordinates, so two subgroups are
-equal iff their canonical data are identical.
+complexes of divisible-valued groups need.  Everything is stored and
+computed on integers.  A rational map is an integer matrix and a
+denominator d (it acts as rows/d).  Canonical form:
+
+- the subspace is kept as its `ratmat.rref` basis, primitive integer
+  rows with positive pivots;
+- the lattice is reduced modulo the subspace, scaled by the least
+  positive den that makes it integral, and kept as the column Hermite
+  normal form of that integer lattice (so gcd(den, entries) = 1).
+
+Two subgroups are equal iff their canonical data are identical.
 
 A LatticePairGroup is a pair numerator/denominator of such subgroups and
 stands for their quotient; quotient_type classifies it as
@@ -13,73 +20,101 @@ Q^a + (Q/Z)^b + Z^c + finite.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
 
-from . import ratmat
 from .fpgroup import FpAbGroup, fp_from_presentation
 from .intmat import IntMatrix, hnf
 from .intmat import kernel as int_kernel
-from .intmat import solve_many
-from .ratmat import combine, fr, mat_vec, reduce_mod_span, rref, vec, vis_zero
+from .intmat import solve_hnf
+from .ratmat import (combine, kernel_basis, mat_vec, reduce_mod_span, rref,
+                     solve)
 
 
 class ContainmentError(ValueError):
     """Denominator not contained in numerator (or map not well defined)."""
 
 
-def _common_denominator(vectors) -> int:
-    d = 1
-    for v in vectors:
-        for x in v:
-            d = math.lcm(d, fr(x).denominator)
-    return d
-
-
-def _integral(v, den):
-    """den·v as a list of ints, or None when it is not integral."""
-    out = []
-    for x in map(fr, v):
-        q, r = divmod(den, x.denominator)
-        if r:
-            return None
-        out.append(x.numerator * q)
-    return out
-
-
-def _scaled(cols, ambient):
-    """(IntMatrix with columns den·c, den) for rational columns c, den
-    their common denominator."""
-    den = _common_denominator(cols)
-    return IntMatrix.from_cols([_integral(c, den) for c in cols],
-                               rows=ambient), den
-
-
-def _columns(H: IntMatrix, den: int) -> tuple:
-    """The columns of H/den as rational vectors."""
-    return tuple(tuple(Fraction(x, den) for x in c) for c in zip(*H.entries))
+def _check_map(rows, source: int, target=None):
+    """Raise unless rows has target rows (any number when None), each of
+    source entries."""
+    if target is not None and len(rows) != target or \
+            any(len(row) != source for row in rows):
+        raise ValueError("ambient mismatch")
 
 
 @dataclass(frozen=True)
 class SpanLattice:
     ambient: int
-    span: tuple        # RREF basis rows
+    span: tuple         # canonical integer rows (ratmat.rref)
     span_pivots: tuple
-    lattice: tuple     # canonical generator columns, reduced mod span
+    lattice: IntMatrix  # column HNF of den · (lattice reduced mod span)
+    den: int
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def make(ambient, span_vectors=(), lattice_vectors=()) -> "SpanLattice":
-        basis, pivots = rref([vec(v) for v in span_vectors])
-        reduced = [w for w in (reduce_mod_span(basis, pivots, v)
-                               for v in lattice_vectors) if not vis_zero(w)]
-        lat = ()
-        if reduced:
-            H, den = _scaled(reduced, ambient)
-            lat = _columns(hnf(H), den)
-        return SpanLattice(ambient, tuple(basis), tuple(pivots), lat)
+        """The subgroup spanned and generated by rational vectors (ints or
+        Fractions, read through .numerator and .denominator)."""
+        vectors = [list(v) for v in span_vectors]
+        lats = [list(v) for v in lattice_vectors]
+        if any(len(v) != ambient for v in vectors + lats):
+            raise ValueError("ambient mismatch")
+        rows = []
+        for v in vectors:
+            d = lcm(*(x.denominator for x in v))
+            rows.append([x.numerator * (d // x.denominator) for x in v])
+        den = lcm(*(x.denominator for v in lats for x in v))
+        cols = [[x.numerator * (den // x.denominator) for x in v]
+                for v in lats]
+        return SpanLattice.of_integers(ambient, rows, cols, den)
+
+    @staticmethod
+    def of_integers(ambient, span_rows=(), lattice_cols=(),
+                    den=1) -> "SpanLattice":
+        """The span of the integer rows plus the lattice generated by the
+        integer columns divided by den."""
+        basis, pivots = rref(span_rows)
+        if basis:
+            reduced = [reduce_mod_span(basis, pivots, c)
+                       for c in lattice_cols]
+            reduced = [(w, s) for w, s in reduced if any(w)]
+            m = lcm(*(s for _, s in reduced))
+            lattice_cols = [[x * (m // s) for x in w] for w, s in reduced]
+            den *= m
+        else:
+            lattice_cols = [c for c in lattice_cols if any(c)]
+        if not lattice_cols:
+            return SpanLattice(ambient, tuple(basis), tuple(pivots),
+                               IntMatrix.zeros(ambient, 0), 1)
+        H = hnf(IntMatrix.from_cols(lattice_cols, rows=ambient))
+        g = gcd(den, *(x for row in H.entries for x in row))
+        if g > 1:
+            H = IntMatrix(H.rows, H.cols, tuple(tuple(x // g for x in row)
+                                                for row in H.entries))
+            den //= g
+        return SpanLattice(ambient, tuple(basis), tuple(pivots), H, den)
+
+    @staticmethod
+    def direct_sum(parts) -> "SpanLattice":
+        """The product of subgroups in the stacked coordinates.  Each
+        block of canonical data is canonical in the product, so the
+        blocks are placed, not re-reduced."""
+        parts = list(parts)
+        ambient = sum(A.ambient for A in parts)
+        den = lcm(*(A.den for A in parts))
+        span, pivots, cols, off = [], [], [], 0
+        for A in parts:
+            tail = (0,) * (ambient - off - A.ambient)
+            span += [(0,) * off + row + tail for row in A.span]
+            pivots += [off + p for p in A.span_pivots]
+            k = den // A.den
+            cols += [(0,) * off + tuple(k * x for x in c) + tail
+                     for c in zip(*A.lattice.entries)]
+            off += A.ambient
+        return SpanLattice(ambient, tuple(span), tuple(pivots),
+                           IntMatrix.from_cols(cols, rows=ambient), den)
 
     @staticmethod
     def zero(ambient) -> "SpanLattice":
@@ -97,142 +132,104 @@ class SpanLattice:
         return len(self.span)
 
     def lattice_rank(self) -> int:
-        return len(self.lattice)
+        return self.lattice.cols
 
-    def is_zero(self) -> bool:
-        return not self.span and not self.lattice
+    def lattice_columns(self):
+        """The integer columns of the lattice; divide by den for the
+        generators."""
+        return list(zip(*self.lattice.entries))
 
-    def reduce(self, v) -> tuple:
-        """Reduce v modulo the span part."""
-        return reduce_mod_span(self.span, self.span_pivots, v)
+    def is_full(self) -> bool:
+        return self.span_dim() == self.ambient
 
     def contains(self, v) -> bool:
-        return self._contains_all([v])
+        return self.contains_group(SpanLattice.make(
+            self.ambient, lattice_vectors=[v]))
 
     def contains_group(self, other: "SpanLattice") -> bool:
-        if any(not vis_zero(self.reduce(row)) for row in other.span):
-            return False
-        return self._contains_all(other.lattice)
-
-    def _contains_all(self, vectors) -> bool:
-        """Are all vectors in self?  They are reduced modulo the span, and
-        the nonzero rests solved against one factorization of the
-        lattice."""
-        rests = [w for w in map(self.reduce, vectors) if not vis_zero(w)]
-        if not rests:
+        if self.ambient != other.ambient:
+            raise ValueError("ambient mismatch")
+        if self.is_full():
             return True
-        if not self.lattice:
+        if any(any(reduce_mod_span(self.span, self.span_pivots, row)[0])
+               for row in other.span):
             return False
-        L, den = _scaled(self.lattice, self.ambient)
-        targets = [_integral(w, den) for w in rests]
-        return None not in targets and None not in solve_many(L, targets)
+        return all(self._coordinates(c, other.den) is not None
+                   for c in other.lattice_columns())
+
+    def _coordinates(self, col, den):
+        """The integer coordinates on the lattice basis of col/den reduced
+        modulo the span, or None when that rest is not in the lattice.
+        The lattice is in Hermite form, so they come by substitution."""
+        w, s = reduce_mod_span(self.span, self.span_pivots, col)
+        q = s * den
+        t = [self.den * x for x in w]
+        if any(x % q for x in t):
+            return None
+        return solve_hnf(self.lattice, [x // q for x in t])
 
     # -- subgroup algebra --------------------------------------------------
 
     def add(self, other: "SpanLattice") -> "SpanLattice":
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        return SpanLattice.make(self.ambient,
-                                list(self.span) + list(other.span),
-                                list(self.lattice) + list(other.lattice))
+        den = lcm(self.den, other.den)
+        cols = [[x * (den // A.den) for x in c]
+                for A in (self, other) for c in A.lattice_columns()]
+        return SpanLattice.of_integers(self.ambient, self.span + other.span,
+                                       cols, den)
 
-    def image(self, rows) -> "SpanLattice":
-        """Image under the linear map given by matrix rows."""
-        new_ambient = len(rows)
-        return SpanLattice.make(
-            new_ambient,
-            [mat_vec(rows, v) for v in self.span],
-            [mat_vec(rows, c) for c in self.lattice])
+    def image(self, rows, den=1) -> "SpanLattice":
+        """Image under the linear map rows/den."""
+        _check_map(rows, self.ambient)
+        return SpanLattice.of_integers(
+            len(rows), [mat_vec(rows, v) for v in self.span],
+            [mat_vec(rows, c) for c in self.lattice_columns()],
+            self.den * den)
 
-    def intersect_subspace(self, k_basis_vectors) -> "SpanLattice":
-        """Intersection with the subspace spanned by k_basis_vectors."""
-        K, _ = rref(k_basis_vectors)
-        S = self.span
-        # T = K + S
-        T, Tpiv = rref(list(K) + list(S))
-        # integer combinations of lattice generators landing in T
-        gens = []
-        if self.lattice:
-            U, _ = _scaled([reduce_mod_span(T, Tpiv, c)
-                            for c in self.lattice], self.ambient)
-            for coeffs in int_kernel(U).columns():
-                x = combine(coeffs, self.lattice, self.ambient)
-                # decompose x = k + s with k in K, s in S; keep k
-                gens.append(ratmat.vsub(x, self._project_onto(S, K, x)))
-        # K ∩ S
-        ks = _subspace_intersection(K, S, self.ambient)
-        return SpanLattice.make(self.ambient, ks, gens)
+    def preimage(self, rows, src_ambient: int, den=1) -> "SpanLattice":
+        """{x in Q^src : (rows/den) · x ∈ self}, from one elimination.
 
-    @staticmethod
-    def _project_onto(S, K, x):
-        """Write x in K + S as k + s; return the s component."""
-        rows = ratmat.cols_to_rows(list(K) + list(S), len(x))
-        coeffs = ratmat.solve(rows, x)
-        if coeffs is None:
-            raise ContainmentError("vector outside K + S")
-        return combine(coeffs[len(K):], S, len(x))
-
-    def is_full(self) -> bool:
-        return self.span_dim() == self.ambient
+        Reducing rows·x modulo the span is x ↦ M·x/s with M integer.  With
+        L the lattice matrix, x lies in the preimage iff M·x = (s·den /
+        self.den)·L·k for an integer k.  One `rref` of the rows of [M | L]
+        gives the kernel of M (its rows with pivots in M), the k with L·k
+        in the image of M (the integer kernel of its other rows), and the
+        reduced system that M·x0 = L·k is solved on for each such k."""
+        _check_map(rows, src_ambient, self.ambient)
+        m = src_ambient
+        reduced = [reduce_mod_span(self.span, self.span_pivots, col)
+                   for col in zip(*rows)] if rows else [((), 1)] * m
+        s = lcm(*(t for _, t in reduced))
+        M_cols = [[x * (s // t) for x in w] for w, t in reduced]
+        M = list(zip(*M_cols)) if m else [()] * self.ambient
+        red, pivots = rref([m_row + l_row for m_row, l_row in zip(
+            M, self.lattice.entries)])
+        k = sum(1 for p in pivots if p < m)
+        M_red = [r[:m] for r in red[:k]]
+        spans = kernel_basis(M_red, m)
+        C = IntMatrix(len(red) - k, self.lattice.cols,
+                      tuple(r[m:] for r in red[k:]))
+        L_red = list(zip(*(r[m:] for r in red[:k])))
+        sols = [solve(M_red, combine(c, L_red, k))
+                for c in int_kernel(C).columns()]
+        D = lcm(*(d for _, d in sols))
+        return SpanLattice.of_integers(
+            m, spans, [[v * (D // d) * s * den for v in x] for x, d in sols],
+            self.den * D)
 
     def intersect(self, other: "SpanLattice") -> "SpanLattice":
-        """Intersection of two span+lattice subgroups."""
+        """Intersection of two span+lattice subgroups: the preimage of
+        self × other under the diagonal x ↦ (x, x)."""
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
         if self.is_full():
             return other
         if other.is_full():
             return self
-        m = self.ambient
-        # model the pair (x, y) in Q^{2m}; intersect with {x = y}; project
-        def emb(v, side):
-            v = vec(v)
-            zero = tuple(Fraction(0) for _ in range(m))
-            return v + zero if side == 0 else zero + v
-        prod = SpanLattice.make(
-            2 * m,
-            [emb(v, 0) for v in self.span] + [emb(v, 1) for v in other.span],
-            [emb(c, 0) for c in self.lattice] +
-            [emb(c, 1) for c in other.lattice])
-        diag = [tuple((1 if (i == j or i == j + m) else 0)
-                      for i in range(2 * m)) for j in range(m)]
-        inter = prod.intersect_subspace(diag)
-        proj_rows = [tuple(Fraction(1) if i == j else Fraction(0)
-                           for i in range(2 * m)) for j in range(m)]
-        return inter.image(proj_rows)
-
-    def preimage(self, rows, src_ambient: int) -> "SpanLattice":
-        """{x in Q^src : rows · x ∈ self}."""
-        # M maps x to reduce(A x); column j of M is reduce(A e_j)
-        M_cols = [self.reduce([row[j] for row in rows])
-                  for j in range(src_ambient)]
-        M_rows = ratmat.cols_to_rows(M_cols, self.ambient)
-        S0 = ratmat.kernel_basis(M_rows, src_ambient)
-        # image of M as a subspace
-        im_basis, im_piv = rref(M_cols)
-        gens = []
-        if self.lattice:
-            # integer combos of lattice generators inside im(M)
-            V, _ = _scaled([reduce_mod_span(im_basis, im_piv, c)
-                            for c in self.lattice], self.ambient)
-            for coeffs in int_kernel(V).columns():
-                x = ratmat.solve(
-                    M_rows, combine(coeffs, self.lattice, self.ambient))
-                if x is None:
-                    raise ContainmentError(
-                        "lattice generator not in the image")
-                gens.append(x)
-        return SpanLattice.make(src_ambient, S0, gens)
-
-
-def _subspace_intersection(A, B, ambient):
-    """Basis of span(A) ∩ span(B) from bases A, B (lists of rows)."""
-    if not A or not B:
-        return []
-    cols = list(A) + [[-x for x in b] for b in B]
-    rows = ratmat.cols_to_rows(cols, ambient)
-    return [combine(k[:len(A)], A, ambient)
-            for k in ratmat.kernel_basis(rows, len(cols))]
+        eye = IntMatrix.identity(self.ambient).entries
+        return SpanLattice.direct_sum([self, other]).preimage(
+            eye + eye, self.ambient)
 
 
 @dataclass(frozen=True)
@@ -279,11 +276,13 @@ def quotient_type(num: SpanLattice, den: SpanLattice) -> GroupType:
     """Isomorphism type of num/den; raises if den is not inside num."""
     if not num.contains_group(den):
         raise ContainmentError("denominator subgroup not inside numerator")
-    # divisible part: span(num) / (span(num) ∩ den)
-    X = den.intersect_subspace([list(r) for r in num.span])
+    # divisible part: span(num) / (span(num) ∩ den), where span(num) ∩ den
+    # is the preimage of den along the injective map of num's span basis
+    basis = list(zip(*num.span)) if num.span else [()] * num.ambient
+    X = den.preimage(basis, num.span_dim())
     q_dim = num.span_dim() - X.span_dim()
     s = X.lattice_rank()
-    if not num.lattice:
+    if not num.lattice.cols:
         return GroupType(q_dim - s, s, 0, ())
     G = _discrete_part(num, den)
     return GroupType(q_dim - s, s, G.free_rank(),
@@ -292,20 +291,13 @@ def quotient_type(num: SpanLattice, den: SpanLattice) -> GroupType:
 
 def _discrete_part(num: SpanLattice, den: SpanLattice) -> FpAbGroup:
     """The lattice of num modulo span(num) + den, presented on num's
-    lattice generators.
-
-    num's lattice is already reduced modulo its span and Hermite-reduced,
-    so its scaled integer matrix is a basis as it stands.
-    """
-    B, den_n = _scaled(num.lattice, num.ambient)
-    targets = [_integral(num.reduce(c), den_n) for c in den.lattice]
-    rel_cols = [None] if None in targets else solve_many(B, targets)
+    lattice generators: each of den's lattice generators, reduced modulo
+    span(num), gives the relation of its coordinates."""
+    rel_cols = [num._coordinates(c, den.den) for c in den.lattice_columns()]
     if None in rel_cols:
         raise ContainmentError("denominator lattice outside numerator")
-    t = B.cols
-    rels = IntMatrix.from_cols(rel_cols, rows=t) if t \
-        else IntMatrix.zeros(0, 0)
-    return fp_from_presentation(t, rels)
+    t = num.lattice.cols
+    return fp_from_presentation(t, IntMatrix.from_cols(rel_cols, rows=t))
 
 
 # -- the spec-level value type --------------------------------------------
@@ -335,22 +327,23 @@ def latpair_quotient_type(G: LatticePairGroup) -> GroupType:
 
 
 def latpair_kernel_image(rows, src: LatticePairGroup,
-                         dst: LatticePairGroup):
+                         dst: LatticePairGroup, den=1):
     """Kernel and image of the induced map src -> dst.
 
-    rows is a rational matrix from src's ambient to dst's ambient; it must
-    map numerator into numerator and denominator into denominator.
+    rows/den is a rational matrix from src's ambient to dst's ambient; it
+    must map numerator into numerator and denominator into denominator.
     Returns (kernel, image) as LatticePairGroups (kernel in src's ambient,
     image in dst's).
     """
-    num_img = src.numerator.image(rows)
+    _check_map(rows, src.ambient, dst.ambient)
+    num_img = src.numerator.image(rows, den)
     if not dst.numerator.contains_group(num_img):
         raise ContainmentError("map does not send numerator into numerator")
-    den_img = src.denominator.image(rows)
+    den_img = src.denominator.image(rows, den)
     if not dst.denominator.contains_group(den_img):
         raise ContainmentError(
             "map does not send denominator into denominator")
-    ker_num = dst.denominator.preimage(rows, src.ambient).intersect(
+    ker_num = dst.denominator.preimage(rows, src.ambient, den).intersect(
         src.numerator)
     kernel = LatticePairGroup(ker_num, src.denominator)
     image = LatticePairGroup(num_img.add(dst.denominator), dst.denominator)

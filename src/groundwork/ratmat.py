@@ -1,67 +1,64 @@
-"""Exact rational linear algebra over Fraction.
+"""Exact rational linear algebra on integer rows.
 
-Vectors are tuples of Fraction; a subspace is handled through its canonical
-reduced-row-echelon basis, which doubles as the equality test.
+A rational vector is carried as an integer vector and one positive
+denominator.  Scaling a row by a nonzero rational changes neither the
+space it spans nor the kernel it cuts out, so the elimination here is
+fraction-free, as in Bareiss (Math. Comp. 22, 1968), but keeps each row
+primitive instead of dividing by the previous pivot: `rref` returns the
+reduced row echelon rows of a subspace, each scaled to a primitive
+integer row with a positive pivot.  Every such row is zero in the other pivot
+columns; the form is canonical and doubles as the equality test.
 
-Zero-skip contract: the kernels below touch only nonzero entries.  A zero
-term is never multiplied or added, a coefficient of 1 copies its vector
-entry instead of multiplying it, and a pivot of 1 is not divided by.  The
-arithmetic is exact, so this changes no value, only the work: a 0/1
-block-copy matrix costs one addition per row.  Inputs may mix int and
-Fraction; every entry returned is a Fraction, and a sum of no terms is
-Fraction(0).
+Zero-skip contract: a zero coefficient is never applied.  A row whose
+entry in the pivot column is zero is left alone, only the nonzero entries
+of a pivot row are subtracted, and only the nonzero coefficients of a
+combination or entries of a vector are multiplied.
+
+`latpair` is the only caller.  The module stays a layer of its own
+because the benchmark's layer list (`bench/layertrace.py`, `LAYERS`)
+imports `groundwork.ratmat`.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
-Vec = tuple
-ZERO = Fraction(0)
+from math import gcd, lcm
 
 
-def fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _primitive(row: list) -> list:
+    """row divided by the gcd of its entries, signed so that its first
+    nonzero entry is positive."""
+    g = gcd(*row)
+    if next(x for x in row if x) < 0:
+        g = -g
+    return row if g == 1 else [x // g for x in row]
 
 
-def vec(xs) -> Vec:
-    return tuple(fr(x) for x in xs)
+def mat_vec(rows, v) -> tuple:
+    """rows · v for an integer matrix and an integer vector."""
+    nz = [(j, x) for j, x in enumerate(v) if x]
+    return tuple(sum(row[j] * x for j, x in nz) for row in rows)
 
 
-def vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vis_zero(a: Vec) -> bool:
-    return not any(a)
-
-
-def mat_vec(rows, v: Vec) -> Vec:
-    v = vec(v)
-    out = []
-    for row in rows:
-        acc = None
-        for a, x in zip(row, v):
-            if a and x:
-                t = x if a == 1 else a * x
-                acc = t if acc is None else acc + t
-        out.append(ZERO if acc is None else acc)
-    return tuple(out)
-
-
-def combine(coeffs, vectors, n: int) -> Vec:
-    """The linear combination sum of c·v over zip(coeffs, vectors) in Q^n."""
-    out = [ZERO] * n
+def combine(coeffs, vectors, n: int) -> tuple:
+    """The integer combination sum of c·v over zip(coeffs, vectors) in Z^n."""
+    out = [0] * n
     for c, v in zip(coeffs, vectors):
         if c:
             for j, x in enumerate(v):
                 if x:
-                    out[j] += x if c == 1 else c * x
+                    out[j] += c * x
     return tuple(out)
 
 
 def rref(rows):
-    """Reduced row echelon form.  Returns (reduced_rows, pivot_cols)."""
-    M = [[fr(x) for x in row] for row in rows]
+    """Canonical basis of the row space of integer rows.
+
+    Returns (basis, pivot_cols): the reduced row echelon rows, each scaled
+    to a primitive integer tuple with a positive pivot.  Gauss–Jordan
+    elimination in which a row is cleared by an integer combination with
+    the pivot row and, when that scaled it, divided by the gcd of its
+    entries, which keeps the entries small.
+    """
+    M = [list(row) for row in rows if any(row)]
     if not M:
         return [], []
     ncols = len(M[0])
@@ -72,71 +69,77 @@ def rref(rows):
         if pivot is None:
             continue
         M[r], M[pivot] = M[pivot], M[r]
-        pv = M[r][c]
-        if pv != 1:
-            M[r] = [x / pv if x else x for x in M[r]]
-        prow = M[r]
+        prow = M[r] = _primitive(M[r])
+        a = prow[c]
         nz = [(j, y) for j, y in enumerate(prow) if y]
-        for i in range(len(M)):
-            f = M[i][c]
+        for i, row in enumerate(M):
+            f = row[c]
             if f and i != r:
-                row = M[i]
+                g = gcd(a, f)
+                s, t = a // g, f // g
+                if s != 1:
+                    row = [s * x for x in row]
                 for j, y in nz:
-                    row[j] -= f * y
+                    row[j] -= t * y
+                M[i] = _primitive(row) if s != 1 and any(row) else row
         pivots.append(c)
         r += 1
         if r == len(M):
             break
-    return [tuple(row) for row in M[:r]], pivots
+    return [tuple(_primitive(row)) for row in M[:r]], pivots
 
 
-def reduce_mod_span(basis, pivots, v: Vec) -> Vec:
+def reduce_mod_span(basis, pivots, v):
     """Subtract the unique span combination matching v's pivot coordinates.
 
-    basis must be in RREF with the given pivot columns; the result has zeros
-    at every pivot coordinate and vanishes exactly on the span.
+    basis is canonical (`rref`) with the given pivot columns, v an integer
+    vector.  Returns (w, s) with s > 0 and w/s = v − (span combination):
+    w is zero at every pivot coordinate and vanishes exactly when v lies
+    in the span.
     """
-    w = list(vec(v))
+    w = list(v)
+    s = 1
     for row, p in zip(basis, pivots):
         c = w[p]
         if c:
+            a = row[p]
+            g = gcd(a, c)
+            a, c = a // g, c // g
+            if a != 1:
+                w = [a * x for x in w]
+                s *= a
             for j, y in enumerate(row):
                 if y:
                     w[j] -= c * y
-    return tuple(w)
+    return tuple(w), s
 
 
 def kernel_basis(rows, ncols: int):
-    """Basis of {x : rows · x = 0} as a list of vectors."""
+    """Basis of {x : rows · x = 0} as primitive integer vectors."""
     red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for f in free:
-        v = [ZERO] * ncols
-        v[f] = Fraction(1)
-        for row, p in zip(red, pivots):
-            if row[f]:
-                v[p] = -row[f]
-        basis.append(tuple(v))
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        used = [(row, p) for row, p in zip(red, pivots) if row[f]]
+        m = lcm(*(row[p] for row, p in used))
+        v = [0] * ncols
+        v[f] = m
+        for row, p in used:
+            v[p] = -row[f] * (m // row[p])
+        basis.append(tuple(_primitive(v)))
     return basis
 
 
-def solve(rows, b: Vec):
-    """One solution x of rows · x = b, or None."""
+def solve(rows, b):
+    """One solution of rows · x = b as (x, den) with x integer and
+    x/den the rational solution, or None."""
     if not rows:
         return None
     ncols = len(rows[0])
-    aug = [list(row) + [bv] for row, bv in zip(rows, b)]
-    red, pivots = rref(aug)
-    x = [ZERO] * ncols
+    red, pivots = rref([list(row) + [bv] for row, bv in zip(rows, b)])
+    if pivots and pivots[-1] == ncols:
+        return None     # pivot in the augmented column: inconsistent
+    den = lcm(*(row[p] for row, p in zip(red, pivots)))
+    x = [0] * ncols
     for row, p in zip(red, pivots):
-        if p == ncols:
-            return None  # pivot in the augmented column: inconsistent
-        x[p] = row[ncols]
-    return tuple(x)
-
-
-def cols_to_rows(cols, nrows: int):
-    if not cols:
-        return [tuple() for _ in range(nrows)] if nrows else []
-    return [tuple(col[i] for col in cols) for i in range(nrows)]
+        x[p] = row[ncols] * (den // row[p])
+    return tuple(x), den

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from .fpgroup import (FpAbGroup, FpMorphism, fp_direct_sum, fp_from_factors,
                       fp_cokernel, fp_cohomology_at, fp_factor_through,
@@ -229,10 +229,10 @@ def gamma_map(phi: SheafMap, su: SectionSpace,
 
 
 def _iso_line(factors) -> str:
-    factors = [d for d in factors if d != 0]
+    """Invariant factors as a report line; a free factor 0 prints as Z."""
     if not factors:
         return "0"
-    return " ⊕ ".join("Z/%d" % d for d in factors)
+    return " ⊕ ".join("Z/%d" % d if d else "Z" for d in factors)
 
 
 @dataclass(frozen=True)
@@ -293,8 +293,7 @@ def cech_cohomology(F: AbelianSheaf, cover, n_max: int) -> CohomologyReport:
     out = []
     for n in range(n_max + 1):
         H, _, _ = fp_cohomology_at(diffs[n - 1] if n else None, diffs[n])
-        out.append(fp_from_factors(
-            [x for x in H.invariant_factors if x != 0]))
+        out.append(fp_from_factors(H.invariant_factors))
     return CohomologyReport(tuple(out))
 
 
@@ -338,12 +337,12 @@ def _godement_moves(X: FiniteSpace, size):
     return moves
 
 
-def _copy_rows(moves, rows: int, cols: int, zero=0, one=1):
+def _copy_rows(moves, rows: int, cols: int):
     """Rows of the 0/1 matrix that performs the given block copies."""
-    out = [[zero] * cols for _ in range(rows)]
+    out = [[0] * cols for _ in range(rows)]
     for dst, src, length in moves:
         for i in range(length):
-            out[dst + i][src + i] = one
+            out[dst + i][src + i] = 1
     return tuple(tuple(r) for r in out)
 
 
@@ -353,85 +352,90 @@ def _copy_map(source: FpAbGroup, target: FpAbGroup, moves) -> FpMorphism:
 
 
 # -- divisible-valued sheaves (span+lattice stalks) --------------------------
+#
+# A rational map between pair coordinates is (rows, den): integer rows
+# acting as rows/den.
 
 
 def _rows_of_fp(f: FpMorphism):
     """The induced linear map on pair coordinates, where Z/d is embedded
-    as (1/d)Z / Z: a smith-matrix entry M_rc becomes M_rc * d_c / d_r."""
+    as (1/d)Z / Z: a smith-matrix entry M_rc becomes M_rc * d_c / d_r.
+    Returns (rows, den) with den the lcm of the target's factors."""
     ds = f.source.invariant_factors
     dt = f.target.invariant_factors
     cols = [f.apply(f.source.generator(i)) for i in range(len(ds))]
-    return tuple(tuple(Fraction(cols[c][r] * ds[c], dt[r])
+    den = lcm(*dt)
+    return tuple(tuple(cols[c][r] * ds[c] * (den // dt[r])
                        for c in range(len(ds)))
-                 for r in range(len(dt)))
-
-
-def _rows_identity(n):
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n))
-                 for i in range(n))
+                 for r in range(len(dt))), den
 
 
 def pair_of_group(G: FpAbGroup) -> LatticePairGroup:
     """A finite group Z/d1 + ... as the pair ((1/d_i)Z^k) / Z^k."""
-    k = len(G.invariant_factors)
-    num = SpanLattice.make(k, lattice_vectors=[
-        [Fraction(1, d) if i == j else Fraction(0) for i in range(k)]
-        for j, d in enumerate(G.invariant_factors)])
-    den = SpanLattice.make(k, lattice_vectors=[
-        [Fraction(1 if i == j else 0) for i in range(k)] for j in range(k)])
-    return LatticePairGroup(num, den)
+    ds = G.invariant_factors
+    k = len(ds)
+    den = lcm(*ds)
+    eye = IntMatrix.identity(k).entries
+    num = SpanLattice.of_integers(
+        k, lattice_cols=[[den // d * x for x in e] for d, e in zip(ds, eye)],
+        den=den)
+    return LatticePairGroup(num, SpanLattice.of_integers(k, lattice_cols=eye))
 
 
 def hull_pair(P: LatticePairGroup) -> LatticePairGroup:
     """Divisible hull: replace the numerator by the subspace it spans."""
-    num = SpanLattice.make(P.ambient,
-                           span_vectors=list(P.numerator.span) +
-                           [list(c) for c in P.numerator.lattice])
+    if not P.numerator.lattice.cols:
+        return P
+    num = SpanLattice.of_integers(
+        P.ambient, P.numerator.span + tuple(P.numerator.lattice_columns()))
     return LatticePairGroup(num, P.denominator)
 
 
 def pair_product(pairs):
-    """Product of LatticePairGroups; returns (pair, offsets)."""
-    offsets = []
-    total = 0
+    """Product of LatticePairGroups; returns (pair, offsets).  The
+    canonical data of the product are the blocks of the factors', so
+    nothing is reduced again; the product is still validated."""
+    offsets, total = [], 0
     for P in pairs:
         offsets.append(total)
         total += P.ambient
-    def emb(v, off, amb):
-        out = [Fraction(0)] * total
-        for i, x in enumerate(v):
-            out[off + i] = Fraction(x)
-        return out
-    num_span, num_lat, den_span, den_lat = [], [], [], []
-    for P, off in zip(pairs, offsets):
-        num_span += [emb(v, off, P.ambient) for v in P.numerator.span]
-        num_lat += [emb(v, off, P.ambient) for v in P.numerator.lattice]
-        den_span += [emb(v, off, P.ambient) for v in P.denominator.span]
-        den_lat += [emb(v, off, P.ambient) for v in P.denominator.lattice]
-    num = SpanLattice.make(total, num_span, num_lat)
-    den = SpanLattice.make(total, den_span, den_lat)
-    return LatticePairGroup(num, den), offsets
+    return LatticePairGroup(
+        SpanLattice.direct_sum(P.numerator for P in pairs),
+        SpanLattice.direct_sum(P.denominator for P in pairs)), offsets
 
 
 @dataclass(frozen=True, eq=False)
 class PairSheaf:
-    """Sheaf with span+lattice-quotient stalks; comaps are rational rows."""
+    """Sheaf with span+lattice-quotient stalks; comaps are (rows, den)."""
     space: FiniteSpace
     stalks: dict        # point -> LatticePairGroup
-    comaps: dict        # (p, q) -> rows
+    comaps: dict        # (p, q) -> (rows, den)
 
 
 @dataclass(frozen=True, eq=False)
 class PairSheafMap:
     source: PairSheaf
     target: PairSheaf
-    components: dict    # point -> rows
+    components: dict    # point -> (rows, den)
 
 
 def as_pair_sheaf(F: AbelianSheaf) -> PairSheaf:
+    """F with each stalk as a lattice pair; the divisible route needs
+    finite stalks, so a free summand raises SheafError."""
+    for p in sorted(F.space.points):
+        if 0 in F.stalks[p].invariant_factors:
+            raise SheafError("the stalk at %r has a free summand Z; the "
+                             "divisible route needs finite stalks" % (p,))
     stalks = {p: pair_of_group(F.stalks[p]) for p in F.space.points}
     comaps = {key: _rows_of_fp(f) for key, f in F.comaps.items()}
     return PairSheaf(F.space, stalks, comaps)
+
+
+def _stacked(maps):
+    """The (rows, den) maps stacked over one common denominator."""
+    den = lcm(*(d for _, d in maps))
+    return tuple(tuple(x * (den // d) for x in r)
+                 for rows, d in maps for r in rows), den
 
 
 def godement_embedding(F):
@@ -446,12 +450,10 @@ def godement_embedding(F):
         X, {q: hulls[q].ambient for q in X.points})
     stalks = {p: pair_product([hulls[q] for q in offsets[p]])[0]
               for p in X.points}
-    zero, one = Fraction(0), Fraction(1)
-    comaps = {(p, p2): _copy_rows(moves, stalks[p2].ambient,
-                                  stalks[p].ambient, zero, one)
+    comaps = {(p, p2): (_copy_rows(moves, stalks[p2].ambient,
+                                   stalks[p].ambient), 1)
               for (p, p2), moves in comap_moves.items()}
-    components = {p: tuple(tuple(Fraction(x) for x in r)
-                           for q in offsets[p] for r in F.comaps[(p, q)])
+    components = {p: _stacked([F.comaps[(p, q)] for q in offsets[p]])
                   for p in X.points}
     G = PairSheaf(X, stalks, comaps)
     return G, PairSheafMap(F, G, components)
@@ -463,12 +465,12 @@ def pair_sheaf_cokernel(e: PairSheafMap):
     stalks = {}
     for p in X.points:
         t = e.target.stalks[p]
-        img = e.source.stalks[p].numerator.image(e.components[p])
+        img = e.source.stalks[p].numerator.image(*e.components[p])
         stalks[p] = LatticePairGroup(t.numerator, t.denominator.add(img))
     Q = PairSheaf(X, stalks, dict(e.target.comaps))
-    proj = PairSheafMap(e.target, Q,
-                        {p: _rows_identity(e.target.stalks[p].ambient)
-                         for p in X.points})
+    proj = PairSheafMap(e.target, Q, {
+        p: (IntMatrix.identity(e.target.stalks[p].ambient).entries, 1)
+        for p in X.points})
     return Q, proj
 
 
@@ -488,18 +490,19 @@ def pair_global_sections(F: PairSheaf):
     E, eoffs = pair_product(epairs)
     if E.ambient == 0:
         return prod, tuple(pts), tuple(offs)
-    rows = [[Fraction(0)] * prod.ambient for _ in range(E.ambient)]
+    den = lcm(*(F.comaps[e][1] for e in edges))
+    rows = [[0] * prod.ambient for _ in range(E.ambient)]
     for (p, q), eoff in zip(edges, eoffs):
         amb_q = F.stalks[q].ambient
         off_p = offs[index[p]]
         off_q = offs[index[q]]
-        comap = F.comaps[(p, q)]
+        comap, d = F.comaps[(p, q)]
         for i in range(amb_q):
-            rows[eoff + i][off_q + i] += Fraction(1)
+            rows[eoff + i][off_q + i] += den
             for j in range(F.stalks[p].ambient):
-                rows[eoff + i][off_p + j] -= comap[i][j]
+                rows[eoff + i][off_p + j] -= comap[i][j] * (den // d)
     rows = tuple(tuple(r) for r in rows)
-    kernel, _ = latpair_kernel_image(rows, prod, E)
+    kernel, _ = latpair_kernel_image(rows, prod, E, den)
     return kernel, tuple(pts), tuple(offs)
 
 
@@ -528,7 +531,7 @@ def sheaf_cohomology(F, n_max: int) -> CohomologyReport:
     for n in range(n_max + 1):
         src_pair, dst_pair = gammas[n], gammas[n + 1]
         rows = _copy_rows(_godement_moves(X, sizes[n]), dst_pair.ambient,
-                          src_pair.ambient, Fraction(0), Fraction(1))
+                          src_pair.ambient)
         kernel, image = latpair_kernel_image(rows, src_pair, dst_pair)
         base = prev_image.numerator if prev_image is not None \
             else src_pair.denominator

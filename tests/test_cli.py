@@ -212,6 +212,29 @@ def test_cech_two_arc_cover():
     assert out == "Hcech^0 = Z/3\nHcech^1 = Z/3\n"
 
 
+def test_cech_free_coefficients_print_z():
+    code, out = run("cech", "--space", "pseudo-circle", "--coef", "Z0",
+                    "--cover", "a,b,c", "--cover", "a,b,d",
+                    "--max-degree", "1")
+    assert code == 0
+    assert out == "Hcech^0 = Z\nHcech^1 = Z\n"
+    code, out = run("cech", "--space", "pseudo-circle", "--coef", "Z0+Z2",
+                    "--cover", "a,b,c", "--cover", "a,b,d",
+                    "--max-degree", "1")
+    assert code == 0
+    assert out == "Hcech^0 = Z/2 ⊕ Z\nHcech^1 = Z/2 ⊕ Z\n"
+
+
+def test_cohomology_free_coefficients_exit_1():
+    code, out = run("cohomology", "--space", "pseudo-circle", "--coef", "Z0")
+    assert code == 1
+    assert out == ("failure: the stalk at 'a' has a free summand Z; the "
+                   "divisible route needs finite stalks\n")
+    code, out = run("--format", "json", "cohomology", "--space",
+                    "pseudo-circle", "--coef", "Z0")
+    assert code == 1 and json.loads(out)["exit"] == 1
+
+
 def test_cech_non_cover_exits_1():
     code, out = run("cech", "--space", "pseudo-circle", "--coef", "Z3",
                     "--cover", "a,b,c", "--max-degree", "1")

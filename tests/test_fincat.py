@@ -2,16 +2,15 @@ import random
 
 import pytest
 
-from groundwork.fincat import (FinCategory, FinFunctor, FinNatTrans,
-                               InvalidCategory, category_from_json,
+from groundwork.fincat import (InvalidCategory, category_from_json,
                                category_to_json, compose_functors,
                                discrete_category, enumerate_functors,
                                enumerate_nat_trans, functor_category,
                                horizontal_compose, identity_functor,
-                               identity_nat_trans, one_object_group, opposite,
-                               poset_category, terminal_category,
-                               validate_category, vertical_compose,
-                               walking_arrow, whisker_left, whisker_right)
+                               one_object_group, opposite, poset_category,
+                               terminal_category, validate_category,
+                               vertical_compose, walking_arrow, whisker_left,
+                               whisker_right)
 
 
 def z3_category():

@@ -5,11 +5,10 @@ import pytest
 
 from groundwork.fincat import (poset_category, terminal_category,
                                validate_category, walking_arrow)
-from groundwork.frac import (ArrowClass, OreFailure, Roof, RoofError,
-                             check_ore, enumerate_roofs, hom_table,
-                             identity_roof, is_isomorphism, localize,
-                             normalize_arrow_class, roof_compose,
-                             roof_equal, roof_of_arrow,
+from groundwork.frac import (OreFailure, Roof, RoofError, check_ore,
+                             enumerate_roofs, hom_table, identity_roof,
+                             is_isomorphism, localize, normalize_arrow_class,
+                             roof_compose, roof_equal, roof_of_arrow,
                              universal_property_check)
 
 

@@ -6,7 +6,7 @@ import pytest
 from groundwork.intmat import (IntMatrix, det, hnf, hnf_with_transform,
                                inverse_unimodular, is_unimodular, kernel,
                                lattice_contains, lattices_equal, snf, solve,
-                               solve_many)
+                               solve_hnf, solve_many)
 
 
 def check_snf(A):
@@ -128,6 +128,29 @@ def test_solve_many_matches_solve():
                       [(4, 9), (1, 0)]) == [(2, 3), None]
     empty = IntMatrix.zeros(2, 0)
     assert solve_many(empty, [(0, 0), (0, 1)]) == [(), None]
+
+
+def test_solve_hnf_matches_solve_many():
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(80):
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        H = hnf(IntMatrix.from_rows(
+            [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]))
+        xs = [[rng.randint(-4, 4) for _ in range(H.cols)] for _ in range(3)]
+        bs = [H.mul_vec(x) for x in xs]
+        bs += [[rng.randint(-9, 9) for _ in range(H.rows)] for _ in range(3)]
+        for b, want in zip(bs, solve_many(H, bs)):
+            got = solve_hnf(H, b)
+            assert (got is None) == (want is None)
+            # H has independent columns, so the solution is unique
+            assert got is None or H.mul_vec(got) == tuple(b)
+            seen.add(got is None)
+        for x, b in zip(xs, bs):
+            assert solve_hnf(H, b) == x
+    assert seen == {True, False}
+    assert solve_hnf(IntMatrix.zeros(2, 0), (0, 0)) == []
+    assert solve_hnf(IntMatrix.zeros(2, 0), (0, 1)) is None
 
 
 def test_lattice_contains():

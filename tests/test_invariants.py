@@ -1,0 +1,63 @@
+"""Source-level invariants, checked with `ast`: the package does no
+`fractions` arithmetic, and no module imports a name it never uses."""
+import ast
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "groundwork"
+MODULES = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def unused_imports(tree):
+    """Names bound by an import that no expression reads."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                bound[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and \
+                node.module != "__future__":
+            for a in node.names:
+                bound[a.asname or a.name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read)
+
+
+def rel(path):
+    return str(path.relative_to(ROOT))
+
+
+def test_scanner_sees_modules():
+    names = {rel(p) for p in MODULES}
+    assert "src/groundwork/latpair.py" in names
+    assert "tests/test_invariants.py" in names
+
+
+def test_scanner_flags_unused_and_fractions():
+    tree = ast.parse("from fractions import Fraction\nimport os\n"
+                     "from __future__ import annotations\nos.sep\n")
+    assert unused_imports(tree) == [(1, "Fraction")]
+    assert "fractions" in set(imported_modules(tree))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=rel)
+def test_package_imports_no_fractions(path):
+    tree = ast.parse(path.read_text())
+    assert not {m for m in imported_modules(tree)
+                if m.split(".")[0] == "fractions"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=rel)
+def test_no_unused_imports(path):
+    assert unused_imports(ast.parse(path.read_text())) == []

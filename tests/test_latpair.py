@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,8 +7,14 @@ import pytest
 from groundwork.latpair import (ContainmentError, GroupType, LatticePairGroup,
                                 SpanLattice, latpair_kernel_image,
                                 latpair_quotient_type, quotient_type)
+from groundwork.shcoh import pair_product
 
 F = Fraction
+
+
+def generators(A):
+    """A's lattice generators as rational vectors."""
+    return [tuple(F(x, A.den) for x in c) for c in A.lattice_columns()]
 
 
 def lat(*cols):
@@ -145,7 +152,7 @@ def _random_subgroup(rng, A):
     shift = A.span[0] if A.span else [0] * A.ambient
     spans = [r for r in A.span if rng.random() < 0.5]
     lats = [[rng.randint(-2, 2) * x + y for x, y in zip(c, shift)]
-            for c in A.lattice]
+            for c in generators(A)]
     return SpanLattice.make(A.ambient, spans, lats)
 
 
@@ -162,8 +169,8 @@ def test_membership_matches_canonical_form_oracle():
         seen.add(want)
         for _ in range(3):
             v = _random_vector(rng, n)
-            if A.lattice and rng.random() < 0.3:
-                v = [x * rng.randint(-2, 2) for x in A.lattice[0]]
+            if generators(A) and rng.random() < 0.3:
+                v = [x * rng.randint(-2, 2) for x in generators(A)[0]]
             got = A.contains(v)
             assert got == A.contains_group(
                 SpanLattice.make(n, lattice_vectors=[v]))
@@ -188,3 +195,116 @@ def test_membership_edge_cases():
     assert not Z.contains_group(SpanLattice.make(2, span_vectors=[(1, 0)]))
     assert Z.contains_group(SpanLattice.zero(2))
     assert SpanLattice.zero(2).contains((0, 0))
+
+
+def _element(rng, A):
+    """A random element of A: an integer combination of its lattice
+    generators plus a rational combination of its span rows."""
+    v = [F(0)] * A.ambient
+    for g in generators(A):
+        c = rng.randint(-2, 2)
+        v = [x + c * y for x, y in zip(v, g)]
+    for row in A.span:
+        c = rng.choice([0, 1, F(1, 2), F(-5, 3)])
+        v = [x + c * y for x, y in zip(v, row)]
+    return v
+
+
+def test_canonical_data_are_integers():
+    rng = random.Random(31)
+    for _ in range(200):
+        A = _random_group(rng, rng.randint(0, 4))
+        assert all(type(x) is int for row in A.span for x in row)
+        for row, p in zip(A.span, A.span_pivots):
+            assert row[p] > 0 and math.gcd(*row) == 1
+        assert all(type(x) is int for row in A.lattice.entries for x in row)
+        assert type(A.den) is int and A.den > 0
+        assert math.gcd(A.den, *(x for row in A.lattice.entries
+                                 for x in row)) == 1
+        # the lattice is reduced modulo the span
+        assert all(c[p] == 0 for c in A.lattice_columns()
+                   for p in A.span_pivots)
+
+
+def test_preimage_and_intersect_match_membership():
+    rng = random.Random(99)
+    seen = set()
+    for _ in range(150):
+        n, m = rng.randint(1, 3), rng.randint(0, 3)
+        A = _random_group(rng, n)
+        rows = [[rng.choice([0, 0, 1, -1, 2]) for _ in range(m)]
+                for _ in range(n)]
+        den = rng.choice([1, 1, 2, 3])
+        P = A.preimage(rows, m, den)
+        assert A.contains_group(P.image(rows, den))
+        for _ in range(4):
+            x = _element(rng, P) if rng.random() < 0.5 else \
+                _random_vector(rng, m)
+            y = [sum((F(a) * b for a, b in zip(row, x)), F(0)) / den
+                 for row in rows]
+            got = P.contains(x)
+            assert got == A.contains(y)
+            seen.add(("pre", got))
+        B = _random_group(rng, n)
+        meet = A.intersect(B)
+        assert A.contains_group(meet) and B.contains_group(meet)
+        for _ in range(4):
+            v = _element(rng, A)
+            got = meet.contains(v)
+            assert got == B.contains(v)
+            seen.add(("meet", got))
+    assert seen == {("pre", True), ("pre", False),
+                    ("meet", True), ("meet", False)}
+
+
+def test_pair_product_matches_generic_make():
+    """Blockwise products against SpanLattice.make over the generators
+    embedded in the stacked coordinates."""
+    rng = random.Random(17)
+    for _ in range(120):
+        pairs = []
+        for _ in range(rng.randint(0, 4)):
+            A = _random_group(rng, rng.randint(0, 3))
+            coeffs = [rng.randint(-2, 2) for _ in generators(A)]
+            sub = SpanLattice.make(
+                A.ambient, [r for r in A.span if rng.random() < 0.5],
+                [[c * x for x in g] for c, g in zip(coeffs, generators(A))])
+            pairs.append(LatticePairGroup(A, sub))
+        got, offsets = pair_product(pairs)
+        total = sum(P.ambient for P in pairs)
+        assert got.ambient == total
+        for side in ("numerator", "denominator"):
+            spans, lats, off = [], [], 0
+            for P in pairs:
+                G = getattr(P, side)
+                pad = ([0] * off, [0] * (total - off - G.ambient))
+                spans += [pad[0] + list(r) + pad[1] for r in G.span]
+                lats += [pad[0] + list(g) + pad[1] for g in generators(G)]
+                off += G.ambient
+            want = SpanLattice.make(total, spans, lats)
+            have = getattr(got, side)
+            assert (have.span, have.span_pivots, have.lattice, have.den) == \
+                (want.span, want.span_pivots, want.lattice, want.den)
+            assert have == want
+        assert offsets == [sum(P.ambient for P in pairs[:i])
+                           for i in range(len(pairs))]
+
+
+def test_shapes_are_checked():
+    A = SpanLattice.make(2, [(1, 0)], [(0, F(1, 2))])
+    QZ = LatticePairGroup(SpanLattice.full(2), lat((1, 0), (0, 1)))
+    bad = [
+        lambda: SpanLattice.make(2, lattice_vectors=[[1, 0, 0]]),
+        lambda: SpanLattice.make(2, span_vectors=[[1]]),
+        lambda: A.image([[1]]),
+        lambda: A.image([[1, 0], [0]]),
+        lambda: A.preimage([[1]], 2),
+        lambda: A.preimage([[1, 0], [0, 1]], 3),
+        lambda: A.add(SpanLattice.zero(3)),
+        lambda: A.contains_group(SpanLattice.zero(1)),
+        lambda: latpair_kernel_image([[1, 0]], QZ, QZ),
+        lambda: latpair_kernel_image([[1], [0]], QZ, QZ),
+    ]
+    for call in bad:
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            call()

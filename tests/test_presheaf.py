@@ -4,20 +4,18 @@ import pytest
 
 from groundwork.fincat import (FinFunctor, one_object_group, poset_category,
                                terminal_category, walking_arrow)
-from groundwork.presheaf import (InvalidPresheaf, Presheaf, PresheafMap,
+from groundwork.presheaf import (InvalidPresheaf, PresheafMap,
                                  adjunction_check, category_of_elements,
-                                 coequalizer,
-                                 colimit_of_representables_check, coproduct,
-                                 counit_shriek, counit_star, empty_presheaf,
-                                 enumerate_presheaf_maps,
+                                 coequalizer, colimit_of_representables_check,
+                                 coproduct, counit_shriek, counit_star,
+                                 empty_presheaf, enumerate_presheaf_maps,
                                  generator_property_check, identity_map,
                                  presheaf_from_json_obj, presheaf_to_json_obj,
                                  product, representable,
                                  representable_on_arrow, terminal_presheaf,
                                  u_lower_star, u_shriek, u_star, unit_shriek,
                                  unit_star, validate_presheaf,
-                                 yoneda_bijection, yoneda_from_element,
-                                 yoneda_to_element)
+                                 yoneda_bijection, yoneda_to_element)
 
 
 def z3_category():

@@ -1,11 +1,16 @@
-"""ratmat kernels against dense reference formulas on sparse inputs.
+"""ratmat's integer kernels against dense rational reference formulas on
+sparse inputs.
 
 The random matrices mix int and Fraction entries, are mostly zeros, and
 include 0/1 selection rows, all-zero rows and non-unit pivots, which are
-the cases the zero-skipping kernels treat specially.
+the cases the zero-skipping kernels treat specially.  The kernels take
+integer rows: each rational row (or vector) is passed scaled by the least
+common denominator of its entries, and the references run on the
+rationals themselves.
 """
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 from groundwork import ratmat
 
@@ -46,6 +51,17 @@ def ref_combine(coeffs, vectors, n):
     return tuple(out)
 
 
+def integral(xs):
+    """(ints, d): the rationals xs times their least common denominator d."""
+    d = lcm(*(F(x).denominator for x in xs))
+    return [int(F(x) * d) for x in xs], d
+
+
+def int_rows(rows):
+    """Each row scaled by its own least common denominator."""
+    return [integral(row)[0] for row in rows]
+
+
 def entry(rng):
     if rng.random() < 0.6:
         return rng.choice([0, F(0)])
@@ -66,8 +82,27 @@ def random_rows(rng, m, n):
     return rows
 
 
-def all_fractions(xs):
-    return all(type(x) is Fraction for x in xs)
+def all_ints(xs):
+    return all(type(x) is int for x in xs)
+
+
+def is_canonical(red, piv):
+    """Integer rows, each primitive with a positive pivot at its first
+    nonzero entry and zero in the other pivot columns."""
+    if list(piv) != sorted(set(piv)) or len(red) != len(piv):
+        return False
+    for i, (row, p) in enumerate(zip(red, piv)):
+        if not all_ints(row) or gcd(*row) != 1 or row[p] <= 0:
+            return False
+        if any(row[:p]) or any(row[q] for j, q in enumerate(piv) if j != i):
+            return False
+    return True
+
+
+def first_pivots(M):
+    """The first nonzero entry of each column, or None."""
+    return [next((row[c] for row in M if row[c] != 0), None)
+            for c in range(len(M[0]))]
 
 
 def cases(seed=11, count=150):
@@ -86,73 +121,92 @@ def test_random_cases_are_sparse_with_non_unit_pivots():
     assert sum(1 for x in cells if x == 0) * 2 >= len(cells)
     assert any(type(x) is int and x not in (0, 1) for x in cells)
     assert any(type(x) is Fraction and x != 0 for x in cells)
-    non_unit = 0
+    non_unit = int_non_unit = 0
     for rows, _, _ in cases():
-        M = [[F(x) for x in row] for row in rows]
-        for c in range(len(M[0])):
-            p = next((row[c] for row in M if row[c] != 0), None)
-            non_unit += p is not None and p != 1
+        non_unit += sum(p is not None and p != 1 for p in
+                        first_pivots([[F(x) for x in row] for row in rows]))
+        int_non_unit += sum(p is not None and abs(p) != 1
+                            for p in first_pivots(int_rows(rows)))
     assert non_unit > 0
+    assert int_non_unit > 0
 
 
 def test_mat_vec_matches_dense_product():
     for rows, v, _ in cases():
-        got = ratmat.mat_vec(rows, v)
-        assert got == ref_mat_vec(rows, v)
-        assert all_fractions(got)
-    # a 0/1 block copy with plain int input
+        flat, a = integral([x for row in rows for x in row])
+        n = len(v)
+        A = [flat[i:i + n] for i in range(0, len(flat), n)]
+        w, d = integral(v)
+        got = ratmat.mat_vec(A, w)
+        assert tuple(F(x, a * d) for x in got) == ref_mat_vec(rows, v)
+        assert all_ints(got)
+    # a 0/1 block copy
     sel = [[0, 1, 0], [0, 0, 0], [1, 0, 0]]
     got = ratmat.mat_vec(sel, [7, 8, 9])
-    assert got == (8, 0, 7) and all_fractions(got)
+    assert got == (8, 0, 7) and all_ints(got)
 
 
 def test_rref_matches_dense_elimination():
     for rows, _, _ in cases():
-        red, piv = ratmat.rref(rows)
-        assert (red, piv) == ref_rref(rows)
-        assert all(all_fractions(row) for row in red)
+        red, piv = ratmat.rref(int_rows(rows))
+        ref_red, ref_piv = ref_rref(rows)
+        assert piv == ref_piv
+        # the canonical rows are the reduced rows, each scaled
+        assert [tuple(F(x, row[p]) for x in row)
+                for row, p in zip(red, piv)] == ref_red
+        assert is_canonical(red, piv)
     assert ratmat.rref([[2, 4], [3, 1]]) == ([(1, 0), (0, 1)], [0, 1])
+    assert ratmat.rref([[2, 3], [4, 6]]) == ([(2, 3)], [0])
+    assert ratmat.rref([[0, -4, 6], [0, 0, 0]]) == ([(0, 2, -3)], [1])
     assert ratmat.rref([[0, 0], [0, 0]]) == ([], [])
 
 
 def test_reduce_mod_span_matches_dense_formula():
     for rows, v, _ in cases():
-        basis, piv = ref_rref(rows)
+        basis, piv = ratmat.rref(int_rows(rows))
+        ref_basis, _ = ref_rref(rows)
         want = [F(x) for x in v]
-        for row, p in zip(basis, piv):
+        for row, p in zip(ref_basis, piv):
             c = want[p]
             want = [x - c * y for x, y in zip(want, row)]
-        got = ratmat.reduce_mod_span(basis, piv, v)
-        assert got == tuple(want) and all_fractions(got)
-        assert all(got[p] == 0 for p in piv)
+        u, d = integral(v)
+        w, s = ratmat.reduce_mod_span(basis, piv, u)
+        assert tuple(F(x, s * d) for x in w) == tuple(want)
+        assert all_ints(w) and type(s) is int and s > 0
+        assert all(w[p] == 0 for p in piv)
 
 
 def test_kernel_basis_is_a_kernel_basis():
     for rows, _, _ in cases():
         n = len(rows[0])
-        ker = ratmat.kernel_basis(rows, n)
+        ker = ratmat.kernel_basis(int_rows(rows), n)
         _, piv = ref_rref(rows)
         assert len(ker) == n - len(piv)
         if ker:
             assert len(ref_rref(ker)[0]) == len(ker)
         for k in ker:
-            assert all_fractions(k)
+            assert all_ints(k) and gcd(*k) == 1
             assert ref_mat_vec(rows, k) == (F(0),) * len(rows)
 
 
 def test_solve_matches_consistency():
     solved = unsolvable = 0
     for rows, _, b in cases():
-        x = ratmat.solve(rows, b)
+        # scale each equation, its right-hand side included, to integers
+        eqs = [integral(list(r) + [bv])[0] for r, bv in zip(rows, b)]
+        got = ratmat.solve([e[:-1] for e in eqs], [e[-1] for e in eqs])
         _, piv = ref_rref(rows)
         _, piv_aug = ref_rref([list(r) + [bv] for r, bv in zip(rows, b)])
-        if x is None:
+        if got is None:
             unsolvable += 1
             assert len(piv_aug) > len(piv)
         else:
             solved += 1
-            assert all_fractions(x) and len(x) == len(rows[0])
-            assert ref_mat_vec(rows, x) == tuple(F(bv) for bv in b)
+            x, den = got
+            assert all_ints(x) and type(den) is int and den > 0
+            assert len(x) == len(rows[0])
+            assert ref_mat_vec(rows, [F(xi, den) for xi in x]) == \
+                tuple(F(bv) for bv in b)
     assert solved and unsolvable
 
 
@@ -162,20 +216,25 @@ def test_combine_matches_dense_sum():
         n, k = rng.randint(0, 5), rng.randint(0, 4)
         vectors = random_rows(rng, k, n)
         coeffs = [entry(rng) for _ in range(k)]
-        got = ratmat.combine(coeffs, vectors, n)
-        assert got == ref_combine(coeffs, vectors, n)
-        assert all_fractions(got)
+        flat, a = integral([x for v in vectors for x in v])
+        V = [flat[i:i + n] for i in range(0, len(flat), n)] if n \
+            else [[] for _ in vectors]
+        c, d = integral(coeffs)
+        got = ratmat.combine(c, V, n)
+        assert tuple(F(x, a * d) for x in got) == \
+            ref_combine(coeffs, vectors, n)
+        assert all_ints(got)
     got = ratmat.combine([0, 1], [[5, 6], [0, 3]], 2)
-    assert got == (0, 3) and all_fractions(got)
+    assert got == (0, 3) and all_ints(got)
 
 
 def test_empty_inputs():
     assert ratmat.mat_vec([], [1, 2]) == ()
     got = ratmat.mat_vec([[], []], [])
-    assert got == (F(0), F(0)) and all_fractions(got)
+    assert got == (0, 0) and all_ints(got)
     assert ratmat.rref([]) == ([], [])
-    assert ratmat.kernel_basis([], 2) == [(F(1), F(0)), (F(0), F(1))]
+    assert ratmat.kernel_basis([], 2) == [(1, 0), (0, 1)]
     assert ratmat.solve([], []) is None
     got = ratmat.combine([], [], 3)
-    assert got == (F(0),) * 3 and all_fractions(got)
-    assert ratmat.reduce_mod_span([], [], [1, 0]) == (F(1), F(0))
+    assert got == (0,) * 3 and all_ints(got)
+    assert ratmat.reduce_mod_span([], [], [1, 0]) == ((1, 0), 1)

@@ -185,6 +185,19 @@ def test_godement_embedding_types():
     assert str(latpair_quotient_type(ps)) == "Q/Z"
 
 
+def test_pair_global_sections_match_finite_sections():
+    # comaps between Z/2 and Z/6 stalks carry the denominator 6
+    for X in [pseudo_circle(), pseudo_sphere_6()]:
+        first, last = sorted(X.points)[0], sorted(X.points)[-1]
+        for F in [constant_sheaf(X, [2, 6]),
+                  skyscraper_sheaf(X, last, [3, 9]),
+                  sheaf_direct_sum(constant_sheaf(X, [2]),
+                                   skyscraper_sheaf(X, first, [3]))[0]]:
+            pair, _, _ = pair_global_sections(shcoh.as_pair_sheaf(F))
+            assert latpair_quotient_type(pair).finite_factors == \
+                global_sections(F).invariant_factors
+
+
 # -- derived-functor cohomology ----------------------------------------------
 
 
@@ -307,6 +320,17 @@ def test_cech_agrees_with_derived(n):
     cech = report_multisets(cech_cohomology(F, two_arc_cover(X), 1))
     derived = report_multisets(sheaf_cohomology(F, 1))
     assert cech == derived
+
+
+def test_free_coefficients():
+    X = pseudo_circle()
+    r = cech_cohomology(constant_sheaf(X, [0]), two_arc_cover(X), 1)
+    assert r.lines() == ["H^0 = Z", "H^1 = Z"]
+    with pytest.raises(SheafError, match="stalk at 'a' has a free summand"):
+        sheaf_cohomology(constant_sheaf(X, [2, 0]), 1)
+    first = min(p for p in X.points if "c" in X.minimal_open(p))
+    with pytest.raises(SheafError, match="stalk at %r" % (first,)):
+        sheaf_cohomology(skyscraper_sheaf(X, "c", [0]), 1)
 
 
 def test_cech_trivial_cover():

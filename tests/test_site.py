@@ -1,15 +1,13 @@
 import pytest
 
 from groundwork.fincat import FinFunctor, discrete_category, walking_arrow
-from groundwork.presheaf import (Presheaf, enumerate_presheaf_maps, product,
-                                 representable, validate_presheaf)
-from groundwork.site import (FiniteSpace, GrothendieckTopology,
-                             HypothesisFailure, InvalidTopology, Sieve,
+from groundwork.presheaf import product, representable, validate_presheaf
+from groundwork.site import (HypothesisFailure, InvalidTopology, Sieve,
                              comparison_check, discrete_space,
-                             indiscrete_space, induced_topology, is_isomorphism,
-                             is_sheaf, is_sheaf_on_space, maximal_sieve,
-                             open_name, open_poset_category, plus_construction,
-                             pseudo_circle, pseudo_sphere_6, sheafify,
+                             indiscrete_space, is_isomorphism, is_sheaf,
+                             is_sheaf_on_space, maximal_sieve, open_name,
+                             open_poset_category, pseudo_circle,
+                             pseudo_sphere_6, sheafify,
                              sheafify_universal_check, sieve_generate,
                              site_from_finite_space, space_from_json,
                              space_to_json, trivial_topology,
