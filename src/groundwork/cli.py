@@ -189,7 +189,8 @@ def cmd_les(args):
     beta = SheafMap(F, F2, {p: mult(F.stalks[p], F2.stalks[p], 1)
                             for p in X.points}).check()
     les = long_exact_sequence(alpha, beta, args.max_degree).verify()
-    lines = ["0 -> Z/%d -> Z/%d -> Z/%d -> 0 (%s)" % (d, d * e, e, kind)]
+    lines = ["0 -> %s -> %s -> %s -> 0 (%s)"
+             % (_iso_line([d]), _iso_line([d * e]), _iso_line([e]), kind)]
     lines += ["%s = %s" % (label, _iso_line(G.invariant_factors))
               for label, G in zip(les.labels, les.groups)]
     lines.append("long exact sequence verified through degree %d"

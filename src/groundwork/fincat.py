@@ -6,9 +6,10 @@ instance exhaustively, reporting all violations at once.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 
 class InvalidCategory(ValueError):
@@ -55,9 +56,17 @@ class FinCategory:
         return self.identity.get(self.dom[arrow]) == arrow and \
             self.dom[arrow] == self.cod[arrow]
 
+    @cached_property
+    def arrows_into(self):
+        """Object -> the arrows ending there, in `arrows` order."""
+        into = {o: [] for o in self.objects}
+        for f in self.arrows:
+            into[self.cod[f]].append(f)
+        return MappingProxyType({o: tuple(fs) for o, fs in into.items()})
+
     def hom(self, a, b):
-        return tuple(f for f in self.arrows
-                     if self.dom[f] == a and self.cod[f] == b)
+        return tuple(f for f in self.arrows_into.get(b, ())
+                     if self.dom[f] == a)
 
     def composable(self, g, f) -> bool:
         return self.dom[g] == self.cod[f]
@@ -183,6 +192,47 @@ def opposite(C: FinCategory) -> FinCategory:
                        {(f, g): h for (g, f), h in C.compose_table.items()})
 
 
+# -- Hom-set search ----------------------------------------------------------
+
+
+def assignments(choices, checks=()):
+    """Every tuple x with x[i] in choices[i] that passes every check, in
+    itertools.product order.
+
+    A check is a pair (i, test): test(x) reads only x[0..i] and runs as
+    soon as x[i] is chosen, so a prefix that fails it is never extended.
+    No positions give one empty tuple; an empty choice gives none, and
+    then `checks` (any iterable) is not read, so a generator of checks
+    costs nothing there.  The search backtracks iteratively, so its depth
+    is not bounded by the recursion limit.
+    """
+    choices = [tuple(c) for c in choices]
+    if not all(choices):
+        return
+    n = len(choices)
+    tests = [[] for _ in range(n)]
+    for i, test in checks:
+        tests[i].append(test)
+    x = [None] * n
+    nxt = [0] * n       # index of the next candidate at each position
+    i = 0
+    while i >= 0:
+        if i == n:
+            yield tuple(x)
+            i -= 1
+        elif nxt[i] == len(choices[i]):
+            nxt[i] = 0
+            i -= 1
+        else:
+            x[i] = choices[i][nxt[i]]
+            nxt[i] += 1
+            for test in tests[i]:
+                if not test(x):
+                    break
+            else:
+                i += 1
+
+
 # -- functors --------------------------------------------------------------
 
 
@@ -231,19 +281,11 @@ class FinFunctor:
             if D.dom[m[f]] != obj[C.dom[f]] or D.cod[m[f]] != obj[C.cod[f]]:
                 raise InvalidFunctor("endpoints not preserved for %r" % f)
         for g in C.arrows:
-            for f in C.arrows:
-                if C.dom[g] == C.cod[f]:
-                    if m[C.compose(g, f)] != D.compose(m[g], m[f]):
-                        raise InvalidFunctor(
-                            "composition not preserved at (%r, %r)" % (g, f))
+            for f in C.arrows_into[C.dom[g]]:
+                if m[C.compose(g, f)] != D.compose(m[g], m[f]):
+                    raise InvalidFunctor(
+                        "composition not preserved at (%r, %r)" % (g, f))
         return self
-
-    def is_valid(self) -> bool:
-        try:
-            self.check()
-            return True
-        except InvalidFunctor:
-            return False
 
 
 def identity_functor(C: FinCategory) -> FinFunctor:
@@ -258,27 +300,35 @@ def compose_functors(G: FinFunctor, F: FinFunctor) -> FinFunctor:
 
 
 def enumerate_functors(C: FinCategory, D: FinCategory):
-    """All functors C -> D, in a deterministic order."""
+    """All functors C -> D, in a deterministic order.
+
+    One search position per object of C and then one per non-identity
+    arrow, each holding its image; identities go to identities.
+    """
+    n = len(C.objects)
+    obj = {o: i for i, o in enumerate(C.objects)}
+    non_id = [f for f in C.arrows if not C.is_identity(f)]
+    at = {e: obj[o] for o, e in C.identity.items()}
+    at.update((f, n + k) for k, f in enumerate(non_id))
+
+    def image(x, f):
+        i = at[f]
+        return x[i] if i >= n else D.identity[x[i]]
+
+    checks = [(at[f], lambda x, i=at[f], a=obj[C.dom[f]], b=obj[C.cod[f]]:
+               D.dom[x[i]] == x[a] and D.cod[x[i]] == x[b])
+              for f in non_id]
+    # pairs with an identity factor hold by D's identity laws
+    checks += [(max(at[g], at[f], at[h]), lambda x, g=g, f=f, h=h:
+                image(x, h) == D.compose(image(x, g), image(x, f)))
+               for (g, f), h in C.compose_table.items()
+               if at[g] >= n and at[f] >= n]
     out = []
-    for obj_images in itertools.product(D.objects, repeat=len(C.objects)):
-        obj = dict(zip(C.objects, obj_images))
-        non_id = [f for f in C.arrows if not C.is_identity(f)]
-        choices = []
-        ok = True
-        for f in non_id:
-            cands = D.hom(obj[C.dom[f]], obj[C.cod[f]])
-            if not cands:
-                ok = False
-                break
-            choices.append(cands)
-        if not ok:
-            continue
-        for picks in itertools.product(*choices):
-            m = {C.identity[o]: D.identity[obj[o]] for o in C.objects}
-            m.update(dict(zip(non_id, picks)))
-            F = FinFunctor(C, D, m)
-            if F.is_valid():
-                out.append(F)
+    for x in assignments([D.objects] * n + [D.arrows] * len(non_id),
+                         checks):
+        m = {C.identity[o]: D.identity[x[i]] for o, i in obj.items()}
+        m.update(zip(non_id, x[n:]))
+        out.append(FinFunctor(C, D, m))
     return out
 
 
@@ -323,13 +373,6 @@ class FinNatTrans:
                 raise InvalidNatTrans("naturality fails at %r" % f)
         return self
 
-    def is_valid(self) -> bool:
-        try:
-            self.check()
-            return True
-        except InvalidNatTrans:
-            return False
-
 
 def identity_nat_trans(F: FinFunctor) -> FinNatTrans:
     D = F.target
@@ -373,18 +416,15 @@ def horizontal_compose(eta2: FinNatTrans, eta1: FinNatTrans) -> FinNatTrans:
 def enumerate_nat_trans(F: FinFunctor, G: FinFunctor):
     """All natural transformations F => G, in a deterministic order."""
     C, D = F.source, F.target
-    per_object = []
-    for o in C.objects:
-        cands = D.hom(F.on_object(o), G.on_object(o))
-        if not cands:
-            return []
-        per_object.append(cands)
-    out = []
-    for picks in itertools.product(*per_object):
-        eta = FinNatTrans(F, G, dict(zip(C.objects, picks)))
-        if eta.is_valid():
-            out.append(eta)
-    return out
+    at = {o: i for i, o in enumerate(C.objects)}
+    checks = [(max(at[C.dom[f]], at[C.cod[f]]),
+               lambda x, a=at[C.dom[f]], b=at[C.cod[f]], Ff=F.on_arrow(f),
+               Gf=G.on_arrow(f):
+               D.compose(x[b], Ff) == D.compose(Gf, x[a]))
+              for f in C.arrows]
+    return [FinNatTrans(F, G, dict(zip(C.objects, x)))
+            for x in assignments([D.hom(F.on_object(o), G.on_object(o))
+                                  for o in C.objects], checks)]
 
 
 def functor_category(C: FinCategory, D: FinCategory):

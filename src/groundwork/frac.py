@@ -68,19 +68,19 @@ def check_ore(C: FinCategory, sigma) -> OreVerdict:
         sigma = normalize_arrow_class(C, sigma)
     failures = []
     members = sorted(sigma.members)
+    sigma_into = {A: sorted(sigma.members.intersection(C.arrows_into[A]))
+                  for A in C.objects}
     # Ore squares: f: X -> Z, s: Y -> Z completes to g: W -> Y, t: W -> X
     # with t ∈ Σ and s∘g = f∘t
     for f in C.arrows:
-        for s in members:
-            if C.cod[f] != C.cod[s]:
-                continue
+        for s in sigma_into[C.cod[f]]:
             if _ore_completions(C, sigma, f, s):
                 continue
             failures.append(("OreSquare", f, s))
     # cancellation: s∘f = s∘g with s ∈ Σ forces f∘t = g∘t for some t ∈ Σ
     for f in C.arrows:
-        for g in C.arrows:
-            if f >= g or C.dom[f] != C.dom[g] or C.cod[f] != C.cod[g]:
+        for g in C.hom(C.dom[f], C.cod[f]):
+            if f >= g:
                 continue
             for s in members:
                 if C.dom[s] != C.cod[f]:
@@ -88,7 +88,7 @@ def check_ore(C: FinCategory, sigma) -> OreVerdict:
                 if C.compose(s, f) != C.compose(s, g):
                     continue
                 if not any(C.compose(f, t) == C.compose(g, t)
-                           for t in members if C.cod[t] == C.dom[f]):
+                           for t in sigma_into[C.dom[f]]):
                     failures.append(("Cancellation", f, g, s))
     return OreVerdict(not failures, sigma, tuple(failures))
 
@@ -96,14 +96,11 @@ def check_ore(C: FinCategory, sigma) -> OreVerdict:
 def _ore_completions(C: FinCategory, sigma: ArrowClass, f, s):
     """All (g, t) with t ∈ Σ, s∘g = f∘t, sorted for determinism."""
     out = []
-    for t in sorted(sigma.members):
-        if C.cod[t] != C.dom[f]:
-            continue
-        ft = C.compose(f, t)
-        for g in C.arrows:
-            if C.cod[g] == C.dom[s] and C.dom[g] == C.dom[t] and \
-                    C.compose(s, g) == ft:
-                out.append((g, t))
+    for t in C.arrows_into[C.dom[f]]:
+        if t in sigma.members:
+            ft = C.compose(f, t)
+            out += [(g, t) for g in C.arrows_into[C.dom[s]]
+                    if C.dom[g] == C.dom[t] and C.compose(s, g) == ft]
     return sorted(out)
 
 
@@ -146,16 +143,12 @@ def roof_equal(r1: Roof, r2: Roof, sigma: ArrowClass) -> bool:
     C = sigma.base
     if (r1.source, r1.target) != (r2.source, r2.target):
         raise RoofError("roofs do not share endpoints")
-    for u in C.arrows:
-        if C.cod[u] != r1.apex:
-            continue
+    for u in C.arrows_into[r1.apex]:
         su = C.compose(r1.left, u)
         if su not in sigma:
             continue
         fu = C.compose(r1.right, u)
-        for v in C.arrows:
-            if C.cod[v] != r2.apex or C.dom[v] != C.dom[u]:
-                continue
+        for v in C.hom(C.dom[u], r2.apex):
             if C.compose(r2.left, v) == su and \
                     C.compose(r2.right, v) == fu:
                 return True
@@ -177,9 +170,8 @@ def roof_compose(r1: Roof, r2: Roof, sigma: ArrowClass) -> Roof:
 
 def enumerate_roofs(C: FinCategory, sigma: ArrowClass, a, b):
     return [Roof(C, s, f)
-            for s in sorted(sigma.members) if C.cod[s] == a
-            for f in sorted(C.arrows)
-            if C.cod[f] == b and C.dom[f] == C.dom[s]]
+            for s in sorted(sigma.members.intersection(C.arrows_into[a]))
+            for f in sorted(C.arrows_into[b]) if C.dom[f] == C.dom[s]]
 
 
 @dataclass(frozen=True, eq=False)

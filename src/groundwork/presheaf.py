@@ -8,10 +8,9 @@ with deterministic output ordering.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .fincat import FinCategory, FinFunctor
+from .fincat import FinCategory, FinFunctor, assignments, validate_category
 
 
 class InvalidPresheaf(ValueError):
@@ -76,12 +75,11 @@ def validate_presheaf(cat: FinCategory, fibers, action) -> Presheaf:
                 errors.append(("ActionOutOfFiber", e, None))
             index[e] = o
     for s in index:
-        for f in cat.arrows:
-            if cat.cod[f] == index[s]:
-                if (s, f) not in action:
-                    errors.append(("MissingActionEntry", s, f))
-                elif index.get(action[(s, f)]) != cat.dom[f]:
-                    errors.append(("ActionOutOfFiber", s, f))
+        for f in cat.arrows_into[index[s]]:
+            if (s, f) not in action:
+                errors.append(("MissingActionEntry", s, f))
+            elif index.get(action[(s, f)]) != cat.dom[f]:
+                errors.append(("ActionOutOfFiber", s, f))
     for (s, f) in action:
         if s not in index or f not in cat.dom or index[s] != cat.cod[f]:
             errors.append(("ActionOutOfFiber", s, f))
@@ -91,9 +89,7 @@ def validate_presheaf(cat: FinCategory, fibers, action) -> Presheaf:
         if action[(s, cat.identity[o])] != s:
             errors.append(("NonFunctorial", s, cat.identity[o]))
     for g in cat.arrows:
-        for h in cat.arrows:
-            if cat.dom[g] != cat.cod[h]:
-                continue
+        for h in cat.arrows_into[cat.dom[g]]:
             gh = cat.compose(g, h)
             for s in fibers[cat.cod[g]]:
                 if action[(s, gh)] != action[(action[(s, g)], h)]:
@@ -147,13 +143,6 @@ class PresheafMap:
                     "does not commute with action at (%r, %r)" % (s, f))
         return self
 
-    def is_valid(self) -> bool:
-        try:
-            self.check()
-            return True
-        except InvalidPresheafMap:
-            return False
-
     def apply(self, elem):
         return self.eta[elem]
 
@@ -168,25 +157,59 @@ def identity_map(F: Presheaf) -> PresheafMap:
     return PresheafMap(F, F, {s: s for s in F.elements()})
 
 
+def _equations(triples, action):
+    """Search checks x[j] == action[(x[i], f)], one per (i, f, j) in
+    triples, grouped at the later of the two positions they read."""
+    at = {}
+    for i, f, j in triples:
+        at.setdefault(max(i, j), []).append((i, f, j))
+
+    def check(eqs):
+        def test(x):
+            for i, f, j in eqs:
+                if x[j] != action[(x[i], f)]:
+                    return False
+            return True
+        return test
+    return [(p, check(eqs)) for p, eqs in at.items()]
+
+
 def enumerate_presheaf_maps(F: Presheaf, G: Presheaf):
-    """All presheaf maps F -> G, in deterministic order."""
+    """All presheaf maps F -> G, in deterministic order.
+
+    One search position per element s of F, ranging over G at the index
+    of s; each action entry of F checks x[s·f] = x[s]·f.
+    """
     elems = F.elements()
     idx_F = F.index_map()
-    choices = []
-    for s in elems:
-        cands = G.fiber(idx_F[s])
-        if not cands:
-            return []
-        choices.append(cands)
-    out = []
-    for picks in itertools.product(*choices):
-        m = PresheafMap(F, G, dict(zip(elems, picks)))
-        if m.is_valid():
-            out.append(m)
-    return out
+    at = {s: i for i, s in enumerate(elems)}
+    checks = _equations([(at[s], f, at[sf])
+                         for (s, f), sf in F.action.items()], G.action)
+    return [PresheafMap(F, G, dict(zip(elems, x)))
+            for x in assignments([G.fiber(idx_F[s]) for s in elems],
+                                 checks)]
 
 
 # -- colimits and limits ----------------------------------------------------
+
+
+def _union_find(elements):
+    """(find, union) over the elements; each class is rooted at its least
+    member."""
+    parent = {e: e for e in elements}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if rb < ra:
+            ra, rb = rb, ra
+        parent[rb] = ra
+    return find, union
 
 
 def coequalizer(eta: PresheafMap, iota: PresheafMap):
@@ -198,19 +221,8 @@ def coequalizer(eta: PresheafMap, iota: PresheafMap):
     if eta.source != iota.source or eta.target != iota.target:
         raise InvalidPresheafMap("not a parallel pair")
     G = eta.target
-    parent = {e: e for e in G.elements()}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
+    idx = G.index_map()
+    find, union = _union_find(G.elements())
     for s in eta.source.elements():
         union(eta.eta[s], iota.eta[s])
     # close under the action: x ~ y forces x·f ~ y·f
@@ -223,11 +235,11 @@ def coequalizer(eta: PresheafMap, iota: PresheafMap):
         for members in classes.values():
             rep = members[0]
             for e in members[1:]:
-                for (s, f), sf in G.action.items():
-                    if s == rep:
-                        if find(sf) != find(G.action[(e, f)]):
-                            union(sf, G.action[(e, f)])
-                            changed = True
+                for f in G.cat.arrows_into[idx[rep]]:
+                    sf, ef = G.action[(rep, f)], G.action[(e, f)]
+                    if find(sf) != find(ef):
+                        union(sf, ef)
+                        changed = True
     class_name = {}
     classes = {}
     for e in G.elements():
@@ -236,7 +248,6 @@ def coequalizer(eta: PresheafMap, iota: PresheafMap):
         name = min(members)
         for e in members:
             class_name[e] = name
-    idx = G.index_map()
     fibers = {o: tuple(sorted({class_name[e] for e in G.fibers[o]}))
               for o in G.cat.objects}
     action = {}
@@ -301,11 +312,9 @@ def representable(cat: FinCategory, B) -> Presheaf:
         raise KeyError(B)
     fibers = {A: cat.hom(A, B) for A in cat.objects}
     action = {}
-    for g in cat.arrows:
-        if cat.cod[g] == B:
-            for f in cat.arrows:
-                if cat.cod[f] == cat.dom[g]:
-                    action[(g, f)] = cat.compose(g, f)
+    for g in cat.arrows_into[B]:
+        for f in cat.arrows_into[cat.dom[g]]:
+            action[(g, f)] = cat.compose(g, f)
     return Presheaf(cat, fibers, action)
 
 
@@ -355,14 +364,13 @@ def category_of_elements(F: Presheaf):
     obj_id = {p: "el(%s,%s)" % p for p in objs}
     arrows, dom, cod, label = [], {}, {}, {}
     for (B, s) in objs:
-        for f in cat.arrows:
-            if cat.cod[f] == B:
-                t = F.action[(s, f)]
-                aid = "ar(%s,%s,%s)" % (f, s, B)
-                arrows.append(aid)
-                dom[aid] = obj_id[(cat.dom[f], t)]
-                cod[aid] = obj_id[(B, s)]
-                label[aid] = (f, (cat.dom[f], t), (B, s))
+        for f in cat.arrows_into[B]:
+            t = F.action[(s, f)]
+            aid = "ar(%s,%s,%s)" % (f, s, B)
+            arrows.append(aid)
+            dom[aid] = obj_id[(cat.dom[f], t)]
+            cod[aid] = obj_id[(B, s)]
+            label[aid] = (f, (cat.dom[f], t), (B, s))
     identity = {obj_id[(B, s)]: "ar(%s,%s,%s)" % (cat.identity[B], s, B)
                 for (B, s) in objs}
     compose = {}
@@ -372,7 +380,6 @@ def category_of_elements(F: Presheaf):
                 gf_arrow = cat.compose(label[g][0], label[f][0])
                 (B, s) = label[g][2]
                 compose[(g, f)] = "ar(%s,%s,%s)" % (gf_arrow, s, B)
-    from .fincat import validate_category
     C_el = validate_category(tuple(obj_id[p] for p in objs), tuple(arrows),
                              dom, cod, identity, compose)
     return C_el, {v: k for k, v in obj_id.items()}, label
@@ -387,31 +394,20 @@ def colimit_of_representables_check(F: Presheaf, G: Presheaf) -> bool:
     """
     cat = F.cat
     objs = [(B, s) for B in cat.objects for s in F.fibers[B]]
-    # enumerate all cocones with vertex G
-    choices = [G.fiber(B) for (B, s) in objs]
+    at = {p: i for i, p in enumerate(objs)}
+    # every cocone with vertex G: t_(B,s)·f = t_(A, s·f) for f: A -> B
+    checks = _equations([(at[(B, s)], f, at[(cat.dom[f], F.action[(s, f)])])
+                         for (B, s) in objs for f in cat.arrows_into[B]],
+                        G.action)
     homs = enumerate_presheaf_maps(F, G)
-    if any(not c for c in choices):
-        return len(homs) == 0
     n_cocones = 0
-    for picks in itertools.product(*choices):
-        t = dict(zip(objs, picks))
-        ok = True
-        for (B, s) in objs:
-            for f in cat.arrows:
-                if cat.cod[f] == B:
-                    A, u = cat.dom[f], F.action[(s, f)]
-                    if G.action[(t[(B, s)], f)] != t[(A, u)]:
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
-            n_cocones += 1
-            # unique factorization: exactly one eta with eta(s) = t_(B,s)
-            factors = [eta for eta in homs
-                       if all(eta.eta[s] == t[(B, s)] for (B, s) in objs)]
-            if len(factors) != 1:
-                return False
+    for t in assignments([G.fiber(B) for (B, s) in objs], checks):
+        n_cocones += 1
+        # unique factorization: exactly one eta with eta(s) = t_(B,s)
+        factors = [eta for eta in homs
+                   if all(eta.eta[s] == t[i] for i, (B, s) in enumerate(objs))]
+        if len(factors) != 1:
+            return False
     return n_cocones == len(homs)
 
 
@@ -487,24 +483,8 @@ def u_shriek(u: FinFunctor, G: Presheaf):
                 for a in Cp.hom(cp, u.on_object(c))
                 for s in G.fibers[c]]
            for cp in Cp.objects}
-    parent = {}
-    for cp, triples in raw.items():
-        for t in triples:
-            parent[(cp,) + t] = (cp,) + t
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-
+    find, union = _union_find((cp,) + t for cp, triples in raw.items()
+                              for t in triples)
     for h in C.arrows:
         c1, c2 = C.dom[h], C.cod[h]
         uh = u.on_arrow(h)
@@ -550,25 +530,14 @@ def u_lower_star(u: FinFunctor, G: Presheaf):
     for cp in Cp.objects:
         keys = [(c, a) for c in C.objects
                 for a in Cp.hom(u.on_object(c), cp)]
-        choices = [G.fibers[c] for (c, a) in keys]
-        found = []
-        if all(choices) or not keys:
-            for picks in itertools.product(*choices):
-                t = dict(zip(keys, picks))
-                ok = True
-                for f in C.arrows:
-                    c1, c2 = C.dom[f], C.cod[f]
-                    uf = u.on_arrow(f)
-                    for a in Cp.hom(u.on_object(c2), cp):
-                        if G.action[(t[(c2, a)], f)] != \
-                                t[(c1, Cp.compose(a, uf))]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    found.append(t)
-        tables[cp] = found
+        at = {k: i for i, k in enumerate(keys)}
+        checks = _equations([(at[(C.cod[f], a)], f,
+                              at[(C.dom[f], Cp.compose(a, u.on_arrow(f)))])
+                             for f in C.arrows
+                             for a in Cp.hom(u.on_object(C.cod[f]), cp)],
+                            G.action)
+        tables[cp] = [dict(zip(keys, x)) for x in assignments(
+            [G.fibers[c] for (c, a) in keys], checks)]
 
     fibers = {cp: tuple(_transformation_id(cp, t) for t in tables[cp])
               for cp in Cp.objects}

@@ -15,10 +15,13 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .fincat import FinCategory, FinFunctor, poset_category
-from .presheaf import (Presheaf, PresheafMap, counit_star,
+from .fincat import FinCategory, FinFunctor, assignments, poset_category
+from .presheaf import (Presheaf, PresheafMap, _equations, counit_star,
                        enumerate_presheaf_maps, u_star, unit_star,
                        validate_presheaf)
+
+# all_sieves refuses an object with more than 16 arrows into it
+SIEVE_CAP = 1 << 16
 
 
 class InvalidSieve(ValueError):
@@ -48,9 +51,8 @@ class Sieve:
             if C.cod[f] != self.at:
                 raise InvalidSieve("arrow %r does not end at %r"
                                    % (f, self.at))
-            for g in C.arrows:
-                if C.cod[g] == C.dom[f] and C.compose(f, g) not in \
-                        self.arrows:
+            for g in C.arrows_into[C.dom[f]]:
+                if C.compose(f, g) not in self.arrows:
                     raise InvalidSieve(
                         "not closed under precomposition at (%r, %r)"
                         % (f, g))
@@ -63,20 +65,16 @@ class Sieve:
         C = self.cat
         if C.cod[h] != self.at:
             raise InvalidSieve("pullback arrow must end at %r" % self.at)
-        arrows = frozenset(g for g in C.arrows
-                           if C.cod[g] == C.dom[h]
-                           and C.compose(h, g) in self.arrows)
+        arrows = frozenset(g for g in C.arrows_into[C.dom[h]]
+                           if C.compose(h, g) in self.arrows)
         return Sieve(C, C.dom[h], arrows)
 
     def is_maximal(self) -> bool:
-        C = self.cat
-        return all(f in self.arrows for f in C.arrows
-                   if C.cod[f] == self.at)
+        return self.arrows.issuperset(self.cat.arrows_into[self.at])
 
 
 def maximal_sieve(cat: FinCategory, A) -> Sieve:
-    return Sieve(cat, A, frozenset(f for f in cat.arrows
-                                   if cat.cod[f] == A))
+    return Sieve(cat, A, frozenset(cat.arrows_into[A]))
 
 
 def sieve_generate(cat: FinCategory, A, family) -> Sieve:
@@ -88,16 +86,15 @@ def sieve_generate(cat: FinCategory, A, family) -> Sieve:
                                % (f, A))
     arrows = set(family)
     for f in family:
-        for g in cat.arrows:
-            if cat.cod[g] == cat.dom[f]:
-                arrows.add(cat.compose(f, g))
+        for g in cat.arrows_into[cat.dom[f]]:
+            arrows.add(cat.compose(f, g))
     return Sieve(cat, A, frozenset(arrows))
 
 
-def all_sieves(cat: FinCategory, A, cap=1 << 16):
+def all_sieves(cat: FinCategory, A):
     """Every sieve at A, by filtering subsets of arrows into A."""
-    into = sorted(f for f in cat.arrows if cat.cod[f] == A)
-    if 1 << len(into) > cap:
+    into = sorted(cat.arrows_into[A])
+    if 1 << len(into) > SIEVE_CAP:
         raise ResourceExceeded("too many arrows into %r to enumerate "
                                "sieves" % A)
     out = []
@@ -137,8 +134,7 @@ class GrothendieckTopology:
         return Sieve(self.cat, A, arrows)
 
 
-def validate_topology(cat: FinCategory, covers,
-                      cap=1 << 16) -> GrothendieckTopology:
+def validate_topology(cat: FinCategory, covers) -> GrothendieckTopology:
     """Exhaustive check of maximality, stability, transitivity.
 
     covers: map object -> iterable of Sieves.  Error records:
@@ -152,12 +148,11 @@ def validate_topology(cat: FinCategory, covers,
             errors.append(("NoMaximalSieve", A))
     for A in cat.objects:
         for S in covers[A]:
-            for h in cat.arrows:
-                if cat.cod[h] == A:
-                    if S.pullback(h) not in covers[cat.dom[h]]:
-                        errors.append(("UnstablePullback", S, h))
+            for h in cat.arrows_into[A]:
+                if S.pullback(h) not in covers[cat.dom[h]]:
+                    errors.append(("UnstablePullback", S, h))
     for A in cat.objects:
-        for S in all_sieves(cat, A, cap=cap):
+        for S in all_sieves(cat, A):
             if S in covers[A]:
                 continue
             has_cover = False
@@ -182,25 +177,18 @@ def trivial_topology(cat: FinCategory) -> GrothendieckTopology:
 
 
 def matching_families(F: Presheaf, S: Sieve):
-    """All matching families for F over the sieve S, as sorted dicts."""
+    """All matching families for F over the sieve S, as sorted dicts.
+
+    One search position per arrow f of S; each g into dom f checks
+    x[f∘g] = x[f]·g.
+    """
     C = F.cat
     arrows = sorted(S.arrows)
-    choices = [F.fiber(C.dom[f]) for f in arrows]
-    out = []
-    for picks in itertools.product(*choices):
-        x = dict(zip(arrows, picks))
-        ok = True
-        for f in arrows:
-            for g in C.arrows:
-                if C.cod[g] == C.dom[f]:
-                    if x[C.compose(f, g)] != F.act(x[f], g):
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
-            out.append(x)
-    return out
+    at = {f: i for i, f in enumerate(arrows)}
+    checks = _equations([(at[f], g, at[C.compose(f, g)]) for f in arrows
+                         for g in C.arrows_into[C.dom[f]]], F.action)
+    return [dict(zip(arrows, x)) for x in assignments(
+        [F.fiber(C.dom[f]) for f in arrows], checks)]
 
 
 def restriction_family(F: Presheaf, S: Sieve, s):
@@ -396,7 +384,7 @@ def open_poset_category(X: FiniteSpace) -> FinCategory:
     return poset_category(order, lambda a, b: names[a] <= names[b])
 
 
-def site_from_finite_space(X: FiniteSpace, cap=1 << 16):
+def site_from_finite_space(X: FiniteSpace):
     """(O(X), J) with J the open-cover topology (sieves with full union)."""
     C = open_poset_category(X)
     set_of = {open_name(U): U for U in X.opens}
@@ -404,7 +392,7 @@ def site_from_finite_space(X: FiniteSpace, cap=1 << 16):
     for A in C.objects:
         target = set_of[A]
         sieves = []
-        for S in all_sieves(C, A, cap=cap):
+        for S in all_sieves(C, A):
             union = frozenset().union(
                 *(set_of[C.dom[f]] for f in S.arrows)) if S.arrows \
                 else frozenset()
@@ -423,9 +411,18 @@ def is_sheaf_on_space(F: Presheaf, X: FiniteSpace):
     """
     C = F.cat
     set_of = {open_name(U): U for U in X.opens}
-    incl = {}
-    for f in C.arrows:
-        incl[(C.dom[f], C.cod[f])] = f
+    incl = {(C.dom[f], C.cod[f]): f for f in C.arrows}
+    # (V, W) -> the inclusions of V ∩ W into V and into W
+    meet = {(V, W): (incl[(I, V)], incl[(I, W)])
+            for V in set_of for W in set_of
+            for I in [open_name(set_of[V] & set_of[W])]}
+
+    def agrees(combo, j):
+        """Search check: x_j agrees with each earlier x_i on V_i ∩ V_j."""
+        pairs = [(i, meet[(V, combo[j])]) for i, V in enumerate(combo[:j])]
+        return lambda x: all(F.action[(x[i], v)] == F.action[(x[j], w)]
+                             for i, (v, w) in pairs)
+
     for A in C.objects:
         U = set_of[A]
         below = [V for V in sorted(set_of) if set_of[V] <= U]
@@ -435,24 +432,9 @@ def is_sheaf_on_space(F: Presheaf, X: FiniteSpace):
                     if combo else frozenset()
                 if union != U:
                     continue
-                # compatible families over the cover
-                choices = [F.fiber(V) for V in combo]
-                compat = []
-                for picks in itertools.product(*choices):
-                    x = dict(zip(combo, picks))
-                    good = True
-                    for V in combo:
-                        for W in combo:
-                            inter = open_name(set_of[V] & set_of[W])
-                            rv = F.act(x[V], incl[(inter, V)])
-                            rw = F.act(x[W], incl[(inter, W)])
-                            if rv != rw:
-                                good = False
-                                break
-                        if not good:
-                            break
-                    if good:
-                        compat.append(tuple(sorted(x.items())))
+                compat = [tuple(sorted(zip(combo, x))) for x in assignments(
+                    [F.fiber(V) for V in combo],
+                    ((j, agrees(combo, j)) for j in range(1, len(combo))))]
                 seen = {}
                 for s in F.fiber(A):
                     key = tuple(sorted(
@@ -477,14 +459,14 @@ class HypothesisFailure(ValueError):
         super().__init__("%s: %r" % (clause, detail))
 
 
-def induced_topology(u: FinFunctor, Jp: GrothendieckTopology,
-                     cap=1 << 16) -> GrothendieckTopology:
+def induced_topology(u: FinFunctor,
+                     Jp: GrothendieckTopology) -> GrothendieckTopology:
     """J on C: S covers A iff the sieve generated by u(S) is a J'-cover."""
     C, Cp = u.source, u.target
     covers = {}
     for A in C.objects:
         good = []
-        for S in all_sieves(C, A, cap=cap):
+        for S in all_sieves(C, A):
             gen = sieve_generate(Cp, u.on_object(A),
                                  [u.on_arrow(f) for f in S.arrows])
             if Jp.is_cover(gen):
@@ -494,7 +476,7 @@ def induced_topology(u: FinFunctor, Jp: GrothendieckTopology,
 
 
 def comparison_check(u: FinFunctor, Jp: GrothendieckTopology,
-                     test_sheaves=(), cap=1 << 16):
+                     test_sheaves=()):
     """Verify the comparison-lemma hypotheses and test the equivalence.
 
     Checks that u is full and faithful and that every object of the target
@@ -515,11 +497,11 @@ def comparison_check(u: FinFunctor, Jp: GrothendieckTopology,
                 raise HypothesisFailure("fullness", (A, B))
     image_objects = {u.on_object(A) for A in C.objects}
     for cp in Cp.objects:
-        family = [f for f in Cp.arrows
-                  if Cp.cod[f] == cp and Cp.dom[f] in image_objects]
+        family = [f for f in Cp.arrows_into[cp]
+                  if Cp.dom[f] in image_objects]
         if not Jp.is_cover(sieve_generate(Cp, cp, family)):
             raise HypothesisFailure("covering", cp)
-    J = induced_topology(u, Jp, cap=cap)
+    J = induced_topology(u, Jp)
     report = []
     for G in test_sheaves:
         ok, _ = is_sheaf(G, Jp)
@@ -553,8 +535,8 @@ def space_from_json(text: str) -> FiniteSpace:
                        frozenset(frozenset(U) for U in data["opens"]))
 
 
-def site_covers_from_json_obj(cat: FinCategory, data,
-                              cap=1 << 16) -> GrothendieckTopology:
+def site_covers_from_json_obj(cat: FinCategory,
+                              data) -> GrothendieckTopology:
     """{"covers": {"obj": [[arrowIds] ...]}} — families, sieve-closed on
     load; completed to a topology by adding the maximal sieve and checking
     the axioms."""
@@ -564,4 +546,4 @@ def site_covers_from_json_obj(cat: FinCategory, data,
         for family in data.get("covers", {}).get(A, []):
             sieves.add(sieve_generate(cat, A, family))
         covers[A] = sieves
-    return validate_topology(cat, covers, cap=cap)
+    return validate_topology(cat, covers)

@@ -196,6 +196,15 @@ def test_les_readme_example_pinned():
         "long exact sequence verified through degree 2"]
 
 
+def test_les_header_prints_free_groups_as_z():
+    code, out = run("les", "--space", "interval-3", "--kind", "const",
+                    "--d", "0", "--e", "2", "--max-degree", "1")
+    assert code == 0
+    assert out.splitlines()[:4] == [
+        "0 -> Z -> Z -> Z/2 -> 0 (const)",
+        "H^0(F') = Z", "H^0(F) = Z", "H^0(F'') = Z/2"]
+
+
 def test_les_seeded_is_deterministic():
     a = run("les", "--space", "interval-3", "--seed", "5",
             "--max-degree", "1")

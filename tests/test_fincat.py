@@ -167,7 +167,7 @@ def test_vertical_composition_valid():
                 for H in functors:
                     for theta in enumerate_nat_trans(G, H):
                         comp = vertical_compose(theta, eta)
-                        assert comp.is_valid()
+                        comp.check()
 
 
 def test_whiskering_and_interchange():

@@ -1,5 +1,7 @@
 """Source-level invariants, checked with `ast`: the package does no
-`fractions` arithmetic, and no module imports a name it never uses."""
+`fractions` arithmetic, the category, presheaf and site layers enumerate
+through `fincat.assignments` and not `itertools.product`, and no module
+imports a name it never uses."""
 import ast
 import pathlib
 
@@ -34,6 +36,21 @@ def unused_imports(tree):
                   if name not in read)
 
 
+def product_uses(tree):
+    """Lines that reach `itertools.product`, by attribute or by import."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "product" and \
+                isinstance(node.value, ast.Name) and \
+                node.value.id == "itertools":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and \
+                node.module == "itertools" and \
+                any(a.name == "product" for a in node.names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
 def rel(path):
     return str(path.relative_to(ROOT))
 
@@ -49,6 +66,19 @@ def test_scanner_flags_unused_and_fractions():
                      "from __future__ import annotations\nos.sep\n")
     assert unused_imports(tree) == [(1, "Fraction")]
     assert "fractions" in set(imported_modules(tree))
+
+
+def test_scanner_flags_itertools_product():
+    tree = ast.parse("import itertools\nfrom itertools import product\n"
+                     "itertools.product([1], [2])\nx.product\n"
+                     "itertools.combinations([1], 1)\n"
+                     "'itertools.product'\n")
+    assert product_uses(tree) == [2, 3]
+
+
+@pytest.mark.parametrize("name", ["fincat.py", "presheaf.py", "site.py"])
+def test_enumerators_use_the_shared_search(name):
+    assert product_uses(ast.parse((PACKAGE / name).read_text())) == []
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=rel)

@@ -151,8 +151,10 @@ def _random_subgroup(rng, A):
     its lattice generators shifted by a span row."""
     shift = A.span[0] if A.span else [0] * A.ambient
     spans = [r for r in A.span if rng.random() < 0.5]
-    lats = [[rng.randint(-2, 2) * x + y for x, y in zip(c, shift)]
-            for c in generators(A)]
+    lats = []
+    for c in generators(A):
+        k = rng.randint(-2, 2)      # one multiplier per generator
+        lats.append([k * x + y for x, y in zip(c, shift)])
     return SpanLattice.make(A.ambient, spans, lats)
 
 
@@ -170,7 +172,8 @@ def test_membership_matches_canonical_form_oracle():
         for _ in range(3):
             v = _random_vector(rng, n)
             if generators(A) and rng.random() < 0.3:
-                v = [x * rng.randint(-2, 2) for x in generators(A)[0]]
+                k = rng.randint(-2, 2)
+                v = [k * x for x in generators(A)[0]]
             got = A.contains(v)
             assert got == A.contains_group(
                 SpanLattice.make(n, lattice_vectors=[v]))

@@ -2,8 +2,9 @@ import pytest
 
 from groundwork.fincat import FinFunctor, discrete_category, walking_arrow
 from groundwork.presheaf import product, representable, validate_presheaf
-from groundwork.site import (HypothesisFailure, InvalidTopology, Sieve,
-                             comparison_check, discrete_space,
+from groundwork.site import (HypothesisFailure, InvalidTopology,
+                             ResourceExceeded, Sieve, comparison_check,
+                             discrete_space,
                              indiscrete_space, is_isomorphism, is_sheaf,
                              is_sheaf_on_space, maximal_sieve, open_name,
                              open_poset_category, pseudo_circle,
@@ -241,6 +242,15 @@ def test_sheafify_universal_property():
 
 
 # -- finite spaces ----------------------------------------------------------------
+
+
+def test_sieve_enumeration_cap():
+    # the top open of the discrete 5-point space has 32 opens below it,
+    # so 2^32 subsets of arrows into it, past the 2^16 cap
+    with pytest.raises(ResourceExceeded) as exc:
+        site_from_finite_space(discrete_space("abcde"))
+    assert str(exc.value) == \
+        "too many arrows into '{a,b,c,d,e}' to enumerate sieves"
 
 
 def test_pseudo_circle_opens():
