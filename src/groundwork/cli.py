@@ -16,7 +16,7 @@ import re
 import sys
 
 from . import catalog
-from .fpgroup import FpMorphism, fp_zero_morphism
+from .fpgroup import FpMorphism, fp_cyclic, fp_zero_morphism
 from .frac import check_ore, hom_table, localize, normalize_arrow_class
 from .intmat import IntMatrix
 from .modres import (DEFAULT_ELEMENT_CAP, ResourceCap, baer_check, ext,
@@ -189,8 +189,8 @@ def cmd_les(args):
     beta = SheafMap(F, F2, {p: mult(F.stalks[p], F2.stalks[p], 1)
                             for p in X.points}).check()
     les = long_exact_sequence(alpha, beta, args.max_degree).verify()
-    lines = ["0 -> %s -> %s -> %s -> 0 (%s)"
-             % (_iso_line([d]), _iso_line([d * e]), _iso_line([e]), kind)]
+    terms = [_iso_line(fp_cyclic(m).invariant_factors) for m in (d, d * e, e)]
+    lines = ["0 -> %s -> %s -> %s -> 0 (%s)" % (*terms, kind)]
     lines += ["%s = %s" % (label, _iso_line(G.invariant_factors))
               for label, G in zip(les.labels, les.groups)]
     lines.append("long exact sequence verified through degree %d"

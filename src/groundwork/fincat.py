@@ -59,10 +59,8 @@ class FinCategory:
     @cached_property
     def arrows_into(self):
         """Object -> the arrows ending there, in `arrows` order."""
-        into = {o: [] for o in self.objects}
-        for f in self.arrows:
-            into[self.cod[f]].append(f)
-        return MappingProxyType({o: tuple(fs) for o, fs in into.items()})
+        return MappingProxyType(_arrows_into(self.objects, self.arrows,
+                                             self.cod))
 
     def hom(self, a, b):
         return tuple(f for f in self.arrows_into.get(b, ())
@@ -70,6 +68,15 @@ class FinCategory:
 
     def composable(self, g, f) -> bool:
         return self.dom[g] == self.cod[f]
+
+
+def _arrows_into(objects, arrows, cod):
+    """Object -> the arrows ending there, in `arrows` order; a composable
+    pair (g, f) is g with an f from the entry for dom g."""
+    into = {o: [] for o in objects}
+    for f in arrows:
+        into[cod[f]].append(f)
+    return {o: tuple(fs) for o, fs in into.items()}
 
 
 def validate_category(objects, arrows, dom, cod, identity,
@@ -97,9 +104,10 @@ def validate_category(objects, arrows, dom, cod, identity,
             errors.append(("EndpointMismatch", g, f, gf))
         elif dom[gf] != dom[f] or cod[gf] != cod[g]:
             errors.append(("EndpointMismatch", g, f, gf))
+    into = _arrows_into(objects, arrows, cod)
     for g in arrows:
-        for f in arrows:
-            if dom[g] == cod[f] and (g, f) not in compose:
+        for f in into[dom[g]]:
+            if (g, f) not in compose:
                 errors.append(("MissingComposite", g, f))
     for obj in objects:
         e = identity.get(obj)
@@ -115,13 +123,9 @@ def validate_category(objects, arrows, dom, cod, identity,
                 break
     if not errors:
         for h in arrows:
-            for g in arrows:
-                if dom[h] != cod[g]:
-                    continue
+            for g in into[dom[h]]:
                 hg = compose[(h, g)]
-                for f in arrows:
-                    if dom[g] != cod[f]:
-                        continue
+                for f in into[dom[g]]:
                     if compose[(hg, f)] != compose[(h, compose[(g, f)])]:
                         errors.append(("NonAssociative", (h, g, f)))
     if errors:
@@ -168,11 +172,9 @@ def poset_category(elements, leq) -> FinCategory:
                 dom[f] = a
                 cod[f] = b
     identity = {a: "%s<=%s" % (a, a) for a in elements}
-    compose = {}
-    for g in arrows:
-        for f in arrows:
-            if dom[g] == cod[f]:
-                compose[(g, f)] = "%s<=%s" % (dom[f], cod[g])
+    into = _arrows_into(elements, arrows, cod)
+    compose = {(g, f): "%s<=%s" % (dom[f], cod[g])
+               for g in arrows for f in into[dom[g]]}
     return validate_category(elements, tuple(arrows), dom, cod, identity,
                              compose)
 
@@ -451,12 +453,10 @@ def functor_category(C: FinCategory, D: FinCategory):
                 id_of_trans[eta] = aid
     identity = {id_of[F]: id_of_trans[identity_nat_trans(F)]
                 for F in functors}
-    compose = {}
-    for g in arrows:
-        for f in arrows:
-            if dom[g] == cod[f]:
-                comp = vertical_compose(trans_of_id[g], trans_of_id[f])
-                compose[(g, f)] = id_of_trans[comp]
+    into = _arrows_into(obj_ids, arrows, cod)
+    compose = {(g, f): id_of_trans[vertical_compose(trans_of_id[g],
+                                                    trans_of_id[f])]
+               for g in arrows for f in into[dom[g]]}
     cat = validate_category(tuple(obj_ids), tuple(arrows), dom, cod,
                             identity, compose)
     return cat, of_id, trans_of_id

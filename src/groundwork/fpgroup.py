@@ -4,6 +4,10 @@ A group is a free abelian group on `gens` generators modulo the column
 lattice of `relations`.  The Smith normal form of the relation matrix gives
 the canonical invariant factors (unit factors dropped, 0 encoding a free
 summand) and a working coordinate system for element arithmetic.
+A matrix M of generator coordinates is zero in a group exactly when each
+row i of U·M is 0 modulo the i-th Smith modulus m_i (U the change to Smith
+coordinates), so well-definedness, agreement and vanishing of a morphism
+are each one such test on a whole matrix, not one normal form per column.
 `fp_cohomology_at`, `fp_factor_through` and `fp_preimages` are the one home
 for complexes of groups: cohomology as ker/im, maps into a kernel, and
 chosen preimages.
@@ -13,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import mul, sub
 
 from .intmat import IntMatrix, hnf, kernel, lattices_equal, snf
 from .intmat import solve_many as int_solve
@@ -200,9 +205,14 @@ class FpMorphism:
             raise IllDefinedMorphism("matrix shape does not match groups")
 
     def is_well_defined(self) -> bool:
-        for r in self.source.relations.columns():
-            if any(self.target.normal_form(self.matrix.mul_vec(r))):
-                return False
+        """Is M·Rel(source) zero in the target?  Each row of U·M, reduced
+        mod its m_i, is multiplied by the relations and reduced again."""
+        rels = list(zip(*self.source.relations.entries))
+        for row, m in _smith_rows(self.target, zip(*self.matrix.entries)):
+            for r in rels:
+                y = sum(map(mul, row, r))
+                if y % m if m else y:
+                    return False
         return True
 
     def check(self) -> "FpMorphism":
@@ -225,19 +235,25 @@ class FpMorphism:
                           self.matrix.mul(other.matrix))
 
     def agrees_with(self, other: "FpMorphism") -> bool:
-        """Do both maps send every source generator to the same element?"""
-        for j in range(self.matrix.cols):
-            if self.target.normal_form(self.matrix.col(j)) != \
-                    other.target.normal_form(other.matrix.col(j)):
-                return False
-        return True
+        """Do both maps send every source generator to the same element?
+
+        Into one relation matrix, that is whether M − M' is zero there;
+        otherwise the two matrices' normal forms are compared column by
+        column.
+        """
+        if other.target is self.target or \
+                other.target.relations.entries == \
+                self.target.relations.entries:
+            return not any(any(row) for row, _ in _smith_rows(
+                self.target, (tuple(map(sub, a, b)) for a, b in zip(
+                    zip(*self.matrix.entries), zip(*other.matrix.entries)))))
+        mine, theirs = (list(zip(*(row for row, _ in _smith_rows(
+            f.target, f.matrix.transpose().entries)))) for f in (self, other))
+        return mine == theirs
 
     def is_zero(self) -> bool:
-        for j in range(self.matrix.cols):
-            col = self.matrix.col(j)
-            if any(x != 0 for x in self.target.normal_form(col)):
-                return False
-        return True
+        return not any(any(row) for row, _ in _smith_rows(
+            self.target, zip(*self.matrix.entries)))
 
     def image_lattice(self) -> IntMatrix:
         """Preimage in Z^{target.gens} of the image subgroup (canonical)."""
@@ -257,6 +273,19 @@ class FpMorphism:
     def is_epic(self) -> bool:
         return lattices_equal(self.image_lattice(),
                               IntMatrix.identity(self.target.gens))
+
+
+def _smith_rows(G: FpAbGroup, cols):
+    """(row i of U·M reduced mod m_i, m_i) for each Smith coordinate i of
+    G with m_i != 1, where M is given by its columns in G's generator
+    coordinates and m_i = 0 leaves the row exact.  Column j of the rows is
+    the normal form of column j of M, so M is zero in G when every row
+    is."""
+    cols = list(cols)
+    for u, m in zip(G._to_smith.entries, G._moduli):
+        if m != 1:
+            row = [sum(map(mul, u, c)) for c in cols]
+            yield ([y % m for y in row] if m else row), m
 
 
 def fp_identity(G: FpAbGroup) -> FpMorphism:

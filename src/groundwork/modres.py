@@ -5,9 +5,12 @@ additive (Smith) generator g_i of R, of order d_i; r = Σ r_i·g_i acts as
 Σ r_i·A_i.  The laws are checked on generators, which is equivalent to
 checking them on all elements: once every A_i is well defined with
 d_i·A_i = 0, the action is additive in r, so both sides of the unit and
-associativity laws are additive in each argument.  A ring's table is
-checked the same way: it must add over every generator on either side,
-and then associativity is checked on generator triples.
+associativity laws are additive in each argument.  Each law is one matrix
+identity between endomorphisms of the additive group, tested in its Smith
+coordinates (fpgroup): d_i·A_i = 0, Σ one_i·A_i = id and
+Σ (g_i·g_j)_t·A_t = A_i∘A_j.  A ring's table is checked on elements: it
+must add over every generator on either side, and then associativity is
+checked on generator triples.
 
 Injective objects are produced by the two-step embedding: embed the
 additive group in a divisible group D = Q^n/K (free group on the elements,
@@ -44,11 +47,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
 from .fpgroup import (FpAbGroup, FpMorphism, fp_cohomology_at, fp_cokernel,
                       fp_direct_sum, fp_exact_at, fp_factor_through, fp_free,
                       fp_from_factors, fp_from_presentation, fp_hom_group,
-                      fp_kernel, fp_preimages)
+                      fp_identity, fp_kernel, fp_preimages)
 from .intmat import IntMatrix, det, hnf, solve_many
 
 
@@ -143,6 +147,15 @@ def _combination(G: FpAbGroup, coeffs, elems) -> tuple:
     return acc
 
 
+def _endo_sum(G: FpAbGroup, coeffs, maps) -> FpMorphism:
+    """Σ c_i·f_i for endomorphisms f_i of G, entry by entry."""
+    n = G.gens
+    mats = [f.matrix.entries for f in maps]
+    rows = tuple(tuple(sum(map(mul, coeffs, cells)) for cells in zip(*rs))
+                 for rs in zip(*mats)) if mats else ((0,) * n,) * n
+    return FpMorphism(G, G, IntMatrix(n, n, rows))
+
+
 def _endo(G: FpAbGroup, f) -> FpMorphism:
     """The endomorphism of G that agrees with f on G's presentation
     generators."""
@@ -157,10 +170,13 @@ class FiniteModule:
     additive: FpAbGroup
     action: tuple   # A_i: additive endomorphism for ring generator g_i
 
+    def action_of(self, r) -> FpMorphism:
+        """The endomorphism Σ r_i·A_i by which r acts."""
+        return _endo_sum(self.additive, r, self.action)
+
     def act(self, r, m):
         """r·m = Σ r_i·A_i(m)."""
-        return _combination(self.additive, r,
-                            [A.apply(m) for A in self.action])
+        return self.action_of(r).apply(m)
 
     def elements(self):
         return self.additive.elements()
@@ -173,7 +189,10 @@ def validate_module(ring: FiniteRing, additive: FpAbGroup,
                     action) -> FiniteModule:
     """Check the module laws on generators; each is bilinear once every A_i
     is well defined and killed by the order d_i of g_i, for then r -> Σ
-    r_i·A_i is additive."""
+    r_i·A_i is additive.  Each law is a matrix identity of endomorphisms
+    of the additive group, in this order: A_i is well defined, d_i·A_i is
+    zero, Σ one_i·A_i agrees with the identity, and Σ (rs)_i·A_i agrees
+    with A_r∘A_s for generators r, s."""
     if not additive.is_finite():
         raise InvalidModule("additive group must be finite")
     M = FiniteModule(ring, additive, tuple(action))
@@ -181,18 +200,15 @@ def validate_module(ring: FiniteRing, additive: FpAbGroup,
     if len(M.action) != len(rgens):
         raise InvalidModule("need one action per additive generator of %s"
                             % ring.name)
-    gens = additive.generators()
     for g, d, A in zip(rgens, ring.additive.invariant_factors, M.action):
         if not A.is_well_defined():
             raise InvalidModule("action of %r is not additive" % (g,))
-        if any(additive.smul(d, A.apply(m)) != additive.zero()
-               for m in gens):
+        if not _endo_sum(additive, (d,), (A,)).is_zero():
             raise InvalidModule("%d·%r does not act as zero" % (d, g))
-    if any(M.act(ring.one, m) != m for m in gens):
+    if not M.action_of(ring.one).agrees_with(fp_identity(additive)):
         raise InvalidModule("unit does not act as identity")
     for (r, A), (s, B) in itertools.product(zip(rgens, M.action), repeat=2):
-        rs = ring.times(r, s)
-        if any(M.act(rs, m) != A.apply(B.apply(m)) for m in gens):
+        if not M.action_of(ring.times(r, s)).agrees_with(A.compose(B)):
             raise InvalidModule(
                 "scalar associativity fails at %r" % ((r, s),))
     return M

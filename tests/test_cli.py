@@ -205,6 +205,14 @@ def test_les_header_prints_free_groups_as_z():
         "H^0(F') = Z", "H^0(F) = Z", "H^0(F'') = Z/2"]
 
 
+def test_les_header_prints_trivial_groups_as_0():
+    code, out = run("les", "--space", "interval-3", "--kind", "const",
+                    "--d", "1", "--e", "2", "--max-degree", "0")
+    assert code == 0
+    assert out.splitlines()[:2] == [
+        "0 -> 0 -> Z/2 -> Z/2 -> 0 (const)", "H^0(F') = 0"]
+
+
 def test_les_seeded_is_deterministic():
     a = run("les", "--space", "interval-3", "--seed", "5",
             "--max-degree", "1")

@@ -112,6 +112,82 @@ def test_validator_matches_oracle_under_mutations():
             assert got == expect
 
 
+def ref_missing_composites(arrows, dom, cod, compose):
+    """MissingComposite entries by scanning every pair of arrows, as
+    validate_category did before it paired each g only with the arrows
+    into dom g."""
+    return [("MissingComposite", g, f) for g in arrows for f in arrows
+            if dom[g] == cod[f] and (g, f) not in compose]
+
+
+def ref_non_associative(arrows, dom, cod, compose):
+    """NonAssociative entries by scanning every triple of arrows; only
+    meaningful once every composite is present with the right ends."""
+    return [("NonAssociative", (h, g, f))
+            for h in arrows for g in arrows for f in arrows
+            if dom[h] == cod[g] and dom[g] == cod[f] and
+            compose[(compose[(h, g)], f)] != compose[(h, compose[(g, f)])]]
+
+
+def chain3():
+    return poset_category(["a", "b", "c"], lambda x, y: x <= y)
+
+
+def test_several_errors_listed_in_arrow_order():
+    C = chain3()
+    compose = dict(C.compose_table)
+    for key in [("b<=c", "a<=b"), ("c<=c", "a<=c"), ("a<=b", "a<=a"),
+                ("b<=c", "b<=b")]:
+        del compose[key]
+    with pytest.raises(InvalidCategory) as exc:
+        validate_category(C.objects, C.arrows, C.dom, C.cod, C.identity,
+                          compose)
+    assert exc.value.errors == (
+        ("MissingComposite", "a<=b", "a<=a"),
+        ("MissingComposite", "b<=c", "a<=b"),
+        ("MissingComposite", "b<=c", "b<=b"),
+        ("MissingComposite", "c<=c", "a<=c"),
+        ("BadIdentity", "a"), ("BadIdentity", "b"), ("BadIdentity", "c"))
+
+
+def test_several_non_associative_triples_in_arrow_order():
+    C = z3_category()
+    compose = dict(C.compose_table)
+    compose[("g", "g")] = "e"
+    compose[("g2", "g2")] = "e"
+    with pytest.raises(InvalidCategory) as exc:
+        validate_category(C.objects, C.arrows, C.dom, C.cod, C.identity,
+                          compose)
+    assert len(exc.value.errors) > 2
+    assert list(exc.value.errors) == ref_non_associative(
+        C.arrows, C.dom, C.cod, compose)
+
+
+def test_error_lists_match_the_pair_scan():
+    rng = random.Random(11)
+    for C in (walking_arrow(), z3_category(), chain3(),
+              poset_category(range(1, 7), lambda x, y: y % x == 0)):
+        keys = sorted(C.compose_table)
+        for _ in range(40):
+            compose = dict(C.compose_table)
+            for k in rng.sample(keys, rng.randint(1, 3)):
+                if rng.random() < 0.5:
+                    del compose[k]
+                else:
+                    compose[k] = C.arrows[rng.randrange(len(C.arrows))]
+            try:
+                validate_category(C.objects, C.arrows, C.dom, C.cod,
+                                  C.identity, compose)
+                errors = []
+            except InvalidCategory as exc:
+                errors = list(exc.errors)
+            assert [e for e in errors if e[0] == "MissingComposite"] == \
+                ref_missing_composites(C.arrows, C.dom, C.cod, compose)
+            if all(e[0] == "NonAssociative" for e in errors):
+                assert errors == ref_non_associative(C.arrows, C.dom, C.cod,
+                                                     compose)
+
+
 def test_opposite_involution():
     for C in (walking_arrow(), z3_category(),
               poset_category(["a", "b", "c"], lambda x, y: x <= y)):

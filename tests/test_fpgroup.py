@@ -1,7 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groundwork.intmat import IntMatrix, hnf
 from groundwork.fpgroup import (FpMorphism, IllDefinedMorphism, fp_cyclic,
@@ -327,3 +330,135 @@ def test_direct_sum_matches_block_formulas():
                 for i in range(g.gens))
             assert inc.is_well_defined() and proj.is_well_defined()
             r0 += g.gens
+
+
+# -- the whole-matrix checks against the column-by-column references -------
+
+
+def ref_is_well_defined(f):
+    """One normal form per relation column of the source."""
+    for r in f.source.relations.columns():
+        if any(f.target.normal_form(f.matrix.mul_vec(r))):
+            return False
+    return True
+
+
+def ref_agrees_with(f, g):
+    """One pair of normal forms per source generator."""
+    for j in range(f.matrix.cols):
+        if f.target.normal_form(f.matrix.col(j)) != \
+                g.target.normal_form(g.matrix.col(j)):
+            return False
+    return True
+
+
+def ref_is_zero(f):
+    """One normal form per source generator."""
+    for j in range(f.matrix.cols):
+        if any(x != 0 for x in f.target.normal_form(f.matrix.col(j))):
+            return False
+    return True
+
+
+CHECKS = settings(max_examples=300, deadline=None, derandomize=True,
+                  database=None)
+
+
+def matrices(rows, cols, lo=-6, hi=6):
+    return st.lists(st.lists(st.integers(lo, hi), min_size=cols,
+                             max_size=cols),
+                    min_size=rows, max_size=rows).map(
+        lambda data: IntMatrix(rows, cols, tuple(map(tuple, data))))
+
+
+@st.composite
+def groups(draw):
+    """Groups on 0-3 generators: random relations (free summands where
+    they have too few columns or lose rank), unit relations (trivial
+    groups), and sometimes no relations at all."""
+    gens = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["random", "trivial", "free"]))
+    if kind == "trivial":
+        rels = IntMatrix.identity(gens)
+    elif kind == "free":
+        rels = IntMatrix.zeros(gens, 0)
+    else:
+        rels = draw(matrices(gens, draw(st.integers(0, 4))))
+    return fp_from_presentation(gens, rels)
+
+
+@st.composite
+def morphisms(draw):
+    """A morphism with a random matrix, scaled by the target's exponent
+    (well defined when the target is finite), or zero."""
+    A, B = draw(groups()), draw(groups())
+    M = draw(matrices(B.gens, A.gens))
+    kind = draw(st.sampled_from(["random", "exponent", "zero"]))
+    if kind == "exponent":
+        e = 1
+        for d in B.invariant_factors:
+            e = math.lcm(e, d) if d else 0
+        M = M.scale(e)
+    elif kind == "zero":
+        M = IntMatrix.zeros(B.gens, A.gens)
+    return FpMorphism(A, B, M)
+
+
+def relabelled(draw, B):
+    """A target parallel to B: B itself, a distinct object with B's
+    relation matrix, or B's relations with one extra relation column
+    (often the same group, always a different matrix)."""
+    kind = draw(st.sampled_from(["same", "copy", "extra"]))
+    if kind == "same":
+        return B
+    if kind == "copy":
+        return fp_from_presentation(B.gens, B.relations)
+    extra = draw(matrices(B.gens, 1, -2, 2))
+    return fp_from_presentation(B.gens, B.relations.hstack(extra))
+
+
+@CHECKS
+@given(morphisms())
+def test_is_well_defined_matches_reference(f):
+    assert f.is_well_defined() == ref_is_well_defined(f)
+
+
+@CHECKS
+@given(morphisms())
+def test_is_zero_matches_reference(f):
+    assert f.is_zero() == ref_is_zero(f)
+
+
+@CHECKS
+@given(st.data())
+def test_agrees_with_matches_reference(data):
+    f = data.draw(morphisms())
+    B = relabelled(data.draw, f.target)
+    if data.draw(st.booleans()):
+        # differs from f by a combination of B's relations: f + Rel·X
+        X = data.draw(matrices(B.relations.cols, f.source.gens, -3, 3))
+        M = f.matrix.add(B.relations.mul(X))
+    else:
+        M = data.draw(matrices(B.gens, f.source.gens, -2, 2)) \
+            if data.draw(st.booleans()) else f.matrix
+    g = FpMorphism(f.source, B, M)
+    assert f.agrees_with(g) == ref_agrees_with(f, g)
+    assert g.agrees_with(f) == ref_agrees_with(g, f)
+
+
+def test_reference_cases_cover_both_answers():
+    """The strategies above reach True and False for every check."""
+    seen = set()
+
+    @CHECKS
+    @given(morphisms())
+    def record(f):
+        seen.add(("well", ref_is_well_defined(f)))
+        seen.add(("zero", ref_is_zero(f)))
+        copy = fp_from_presentation(f.target.gens, f.target.relations)
+        seen.add(("agree", ref_agrees_with(
+            f, fp_zero_morphism(f.source, copy))))
+
+    record()
+    assert seen == {(k, v) for k in ("well", "zero", "agree")
+                    for v in (True, False)}

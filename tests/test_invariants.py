@@ -1,7 +1,8 @@
 """Source-level invariants, checked with `ast`: the package does no
 `fractions` arithmetic, the category, presheaf and site layers enumerate
-through `fincat.assignments` and not `itertools.product`, and no module
-imports a name it never uses."""
+through `fincat.assignments` and not `itertools.product`, the morphism
+and module checks test whole matrices instead of mapping elements one at
+a time, and no module imports a name it never uses."""
 import ast
 import pathlib
 
@@ -51,6 +52,30 @@ def product_uses(tree):
     return sorted(lines)
 
 
+ELEMENTWISE = ("normal_form", "apply", "act")
+
+
+def elementwise_calls(tree, qualname):
+    """Lines where the function `qualname` ("f" or "Class.f") calls
+    normal_form, apply or act, as a method or by name."""
+    *owner, name = qualname.split(".")
+    scope = tree
+    if owner:
+        scope = next(n for n in tree.body if isinstance(n, ast.ClassDef)
+                     and n.name == owner[0])
+    func = next(n for n in scope.body if isinstance(n, ast.FunctionDef)
+                and n.name == name)
+    lines = []
+    for node in ast.walk(func):
+        if isinstance(node, ast.Call):
+            f = node.func
+            called = f.attr if isinstance(f, ast.Attribute) else \
+                f.id if isinstance(f, ast.Name) else None
+            if called in ELEMENTWISE:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
 def rel(path):
     return str(path.relative_to(ROOT))
 
@@ -74,6 +99,31 @@ def test_scanner_flags_itertools_product():
                      "itertools.combinations([1], 1)\n"
                      "'itertools.product'\n")
     assert product_uses(tree) == [2, 3]
+
+
+def test_scanner_flags_elementwise_calls():
+    tree = ast.parse("class F:\n"
+                     "    def check(self):\n"
+                     "        self.target.normal_form(x)\n"
+                     "        apply(y)\n"
+                     "        self.matrix.mul_vec(x)\n"
+                     "    def other(self):\n"
+                     "        M.act(r, m)\n"
+                     "def law(M):\n"
+                     "    return M.act(r, m) + f.apply\n")
+    assert elementwise_calls(tree, "F.check") == [3, 4]
+    assert elementwise_calls(tree, "law") == [9]
+
+
+@pytest.mark.parametrize("module,qualname", [
+    ("fpgroup.py", "FpMorphism.is_well_defined"),
+    ("fpgroup.py", "FpMorphism.agrees_with"),
+    ("fpgroup.py", "FpMorphism.is_zero"),
+    ("modres.py", "validate_module"),
+])
+def test_checks_test_whole_matrices(module, qualname):
+    tree = ast.parse((PACKAGE / module).read_text())
+    assert elementwise_calls(tree, qualname) == []
 
 
 @pytest.mark.parametrize("name", ["fincat.py", "presheaf.py", "site.py"])

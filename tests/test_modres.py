@@ -23,6 +23,7 @@ import functools
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,7 @@ from groundwork.modres import (DivisibleGroup, InvalidModule, InvalidRing,
                                module_direct_sum, module_from_action_table,
                                module_from_integer_action, regular_module,
                                ring_f2x, ring_zmod, unit_embedding,
-                               validate_ring, zmod_module)
+                               validate_module, validate_ring, zmod_module)
 
 
 def ext_cyclic_oracle(n, d, e, k):
@@ -96,6 +97,28 @@ def test_module_axioms_reject_illegal_scalar_action(rings):
     with pytest.raises(InvalidModule):
         module_from_integer_action(rings["Z6"], fp_from_factors([4]),
                                    lambda r: r[0])
+
+
+def endo(G, rows):
+    return FpMorphism(G, G, IntMatrix.from_rows(rows))
+
+
+@pytest.mark.parametrize("ring,gens,action,message", [
+    # e1 has order 2 and its image e2 order 4: not a map of groups
+    ("Z4", [2, 4], [[[1, 0], [1, 1]]], "action of (1,) is not additive"),
+    # the identity of Z/4 is well defined but 6·id is not zero
+    ("Z6", [4], [[[1]]], "6·(1,) does not act as zero"),
+    # zero is well defined and killed by 2, and 0∘0 = 0, but 1 acts as 0
+    ("Z2", [2], [[[0]]], "unit does not act as identity"),
+    # 1 acts as id and x as id on Z/2: additive, killed by 2 and unital,
+    # but x·x = 0 acts as 0 while id∘id = id
+    ("F2x", [2], [[[1]], [[1]]],
+     "scalar associativity fails at ((0, 1), (0, 1))"),
+])
+def test_validate_module_pins_each_law(rings, ring, gens, action, message):
+    G = fp_from_factors(gens)
+    with pytest.raises(InvalidModule, match="^%s$" % re.escape(message)):
+        validate_module(rings[ring], G, [endo(G, rows) for rows in action])
 
 
 def test_module_from_action_table_round_trip(rings):
