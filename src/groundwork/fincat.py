@@ -95,6 +95,9 @@ def validate_category(objects, arrows, dom, cod, identity,
             errors.append(("EndpointMismatch", f, dom.get(f), cod.get(f)))
     if errors:
         raise InvalidCategory(errors)
+    cat = FinCategory(objects, arrows, dict(dom), dict(cod),
+                      dict(identity), dict(compose))
+    into = cat.arrows_into
     for (g, f), gf in compose.items():
         if g not in dom or f not in dom:
             errors.append(("EndpointMismatch", g, f, gf))
@@ -104,7 +107,6 @@ def validate_category(objects, arrows, dom, cod, identity,
             errors.append(("EndpointMismatch", g, f, gf))
         elif dom[gf] != dom[f] or cod[gf] != cod[g]:
             errors.append(("EndpointMismatch", g, f, gf))
-    into = _arrows_into(objects, arrows, cod)
     for g in arrows:
         for f in into[dom[g]]:
             if (g, f) not in compose:
@@ -130,8 +132,7 @@ def validate_category(objects, arrows, dom, cod, identity,
                         errors.append(("NonAssociative", (h, g, f)))
     if errors:
         raise InvalidCategory(errors)
-    return FinCategory(objects, arrows, dict(dom), dict(cod),
-                       dict(identity), dict(compose))
+    return cat
 
 
 # -- builders --------------------------------------------------------------

@@ -6,8 +6,9 @@ the canonical invariant factors (unit factors dropped, 0 encoding a free
 summand) and a working coordinate system for element arithmetic.
 A matrix M of generator coordinates is zero in a group exactly when each
 row i of U·M is 0 modulo the i-th Smith modulus m_i (U the change to Smith
-coordinates), so well-definedness, agreement and vanishing of a morphism
-are each one such test on a whole matrix, not one normal form per column.
+coordinates), so well-definedness and vanishing of a morphism are each
+one such test on a whole matrix, and two morphisms agree when their
+matrices reduce to the same rows; none takes one normal form per column.
 `fp_cohomology_at`, `fp_factor_through` and `fp_preimages` are the one home
 for complexes of groups: cohomology as ker/im, maps into a kernel, and
 chosen preimages.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import mul, sub
+from operator import mul
 
 from .intmat import IntMatrix, hnf, kernel, lattices_equal, snf
 from .intmat import solve_many as int_solve
@@ -236,19 +237,10 @@ class FpMorphism:
 
     def agrees_with(self, other: "FpMorphism") -> bool:
         """Do both maps send every source generator to the same element?
-
-        Into one relation matrix, that is whether M − M' is zero there;
-        otherwise the two matrices' normal forms are compared column by
-        column.
-        """
-        if other.target is self.target or \
-                other.target.relations.entries == \
-                self.target.relations.entries:
-            return not any(any(row) for row, _ in _smith_rows(
-                self.target, (tuple(map(sub, a, b)) for a, b in zip(
-                    zip(*self.matrix.entries), zip(*other.matrix.entries)))))
+        Each map's columns are taken to its target's Smith rows, whose
+        columns are their normal forms, and the two are compared."""
         mine, theirs = (list(zip(*(row for row, _ in _smith_rows(
-            f.target, f.matrix.transpose().entries)))) for f in (self, other))
+            f.target, zip(*f.matrix.entries))))) for f in (self, other))
         return mine == theirs
 
     def is_zero(self) -> bool:
