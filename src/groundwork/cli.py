@@ -43,6 +43,18 @@ def _element_cap():
     return cap
 
 
+def _non_negative(text):
+    """argparse type for degree and length options."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            "%r is not a non-negative integer" % (text,))
+    return value
+
+
 def _load_kind(name, kind):
     entry = catalog.load(name)
     if entry.kind != kind:
@@ -143,6 +155,9 @@ def cmd_is_sheaf(args):
 def _sheaf_from_args(args):
     if args.sheaf:
         return _load_kind(args.sheaf, "sheaf")
+    if args.space is None or args.coef is None:
+        raise catalog.InvalidEntry(
+            "give --sheaf, or --space with --coef")
     X = _load_kind(args.space, "space")
     factors = _coef_factors(args.coef)
     if args.skyscraper:
@@ -166,6 +181,8 @@ def cmd_cech(args):
 def cmd_les(args):
     X = _load_kind(args.space, "space")
     kind, d, e = args.kind, args.d, args.e
+    if kind is not None and (d is None or e is None):
+        raise catalog.InvalidEntry("--kind needs both --d and --e")
     if kind is None:
         rng = random.Random(args.seed)
         kind = rng.choice(["const", "sky"])
@@ -277,10 +294,15 @@ def cmd_mtt(args):
 def cmd_catalog(args):
     if args.action == "list":
         return 0, catalog.list()
+    if args.name is None:
+        raise catalog.InvalidEntry("catalog %s needs an entry name"
+                                   % args.action)
     if args.action == "show":
         e = catalog.load(args.name)
         return 0, ["name: %s" % e.name, "kind: %s" % e.kind,
                    "note: %s" % e.note]
+    if args.path is None:
+        raise catalog.InvalidEntry("catalog dump needs a destination path")
     catalog.dump(args.name, args.path)
     return 0, ["wrote %s" % args.path]
 
@@ -317,7 +339,7 @@ def build_parser():
         p.add_argument("--coef")
         p.add_argument("--skyscraper", metavar="POINT")
         p.add_argument("--sheaf", help="catalog sheaf entry name")
-        p.add_argument("--max-degree", type=int, default=2)
+        p.add_argument("--max-degree", type=_non_negative, default=2)
         if name == "cech":
             p.add_argument("--cover", action="append", required=True,
                            metavar="P1,P2,...")
@@ -329,7 +351,7 @@ def build_parser():
     p.add_argument("--d", type=int)
     p.add_argument("--e", type=int)
     p.add_argument("--point")
-    p.add_argument("--max-degree", type=int, default=2)
+    p.add_argument("--max-degree", type=_non_negative, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_les)
 
@@ -337,13 +359,13 @@ def build_parser():
     p.add_argument("--ring", required=True)
     p.add_argument("--module", required=True)
     p.add_argument("--against", required=True)
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=_non_negative, default=3)
     p.set_defaults(func=cmd_ext)
 
     p = sub.add_parser("resolve")
     p.add_argument("--ring", required=True)
     p.add_argument("--module", required=True)
-    p.add_argument("--length", type=int, default=2)
+    p.add_argument("--length", type=_non_negative, default=2)
     p.set_defaults(func=cmd_resolve)
 
     p = sub.add_parser("baer")

@@ -42,12 +42,15 @@ sub, *, P, <, >).  The grammar (EBNF; see also docs/mtt-grammar.ebnf):
 Variables are Set-sorted unless annotated at their binder; free
 variables get their sort inferred from use (conflicts are sort errors).
 Each variable name has a single sort per formula (no shadowing).
-t ⊆ u is sugar, expanded by sort level; ∀x (x∈t → φ) and ∃x (x∈t ∧ φ)
-are recognized as bounded-quantifier sugar by normalize_bounds.
+t ⊆ u is sugar, expanded by sort level wherever it occurs, inside
+separation and abstract bodies too; ∀x (x∈t → φ) and ∃x (x∈t ∧ φ) are
+recognized as bounded-quantifier sugar by normalize_bounds, which also
+rewrites them inside terms.  Every walk over the AST takes a node's
+sub-nodes from one table, _CHILDREN.
 """
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 SET, CLASS, COLLECTION = "Set", "Class", "Collection"
 _LEVEL = {SET: 0, CLASS: 1, COLLECTION: 2}
@@ -142,6 +145,46 @@ class Quant:
     body: object
 
 
+@dataclass(frozen=True)
+class Subset:
+    """t ⊆ u as parsed; expanded by sort level before parsing returns."""
+    var: Var            # the fresh variable of the expansion
+    left: object
+    right: object
+
+
+# Sub-node fields of each node class, in visiting order.  Binder variables
+# are included, and a quantifier's body comes before its bound.  Var and
+# Const are leaves.
+_CHILDREN = {
+    Pow: ("arg",), CProd: ("left", "right"), Pair: ("items",),
+    Sep: ("var", "bound", "body"), AbstractTerm: ("variables", "body"),
+    Membership: ("left", "right"), Eq: ("left", "right"), Not: ("body",),
+    BinOp: ("left", "right"), Quant: ("var", "body", "bound"),
+    Subset: ("var", "left", "right"),
+}
+
+
+def _nodes(node):
+    """Every node of the tree, in pre-order."""
+    yield node
+    for name in _CHILDREN.get(type(node), ()):
+        value = getattr(node, name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if child is not None:
+                yield from _nodes(child)
+
+
+def _map(node, fn):
+    """node rebuilt with fn applied to each sub-node."""
+    def each(value):
+        if isinstance(value, tuple):
+            return tuple(fn(x) for x in value)
+        return None if value is None else fn(value)
+    return replace(node, **{name: each(getattr(node, name))
+                            for name in _CHILDREN.get(type(node), ())})
+
+
 @dataclass(frozen=True, eq=False)
 class Formula:
     """A parsed formula (or abstract term) plus its variable sorts."""
@@ -177,7 +220,6 @@ class _SortEnv:
 
     def __init__(self):
         self.sorts = {}
-        self.bound_names = set()
 
     def declare(self, name, sort):
         if name in self.sorts and self.sorts[name] != sort:
@@ -234,7 +276,7 @@ def term_level(term, env: _SortEnv, demand=None) -> int:
 
 
 def _check_sorts(node, env: _SortEnv):
-    if isinstance(node, tuple) and node and node[0] == "SUBSET":
+    if isinstance(node, Subset):
         return      # unexpanded ⊆ sugar; checked after expansion
     if isinstance(node, Membership):
         want = {"in": (0, 0), "in1": (0, 1), "in2": (1, 2)}[node.kind]
@@ -386,22 +428,15 @@ class _Parser:
         q, _ = self.next()
         q = "forall" if q == "forall" else "exists"
         vname = self.name()
-        sort = None
-        if self.peek() == ":":
-            self.next()
-            sname = self.name()
-            if sname not in _SORT_NAMES:
-                raise ParseError("unknown sort %r" % sname)
-            sort = _SORT_NAMES[sname]
+        sort = self._annotation() or SET
         bound = None
         if self.peek() == "in":
             self.next()
             bound = self.term()
         self.expect(".")
         body = self.formula()
-        node = Quant(q, Var(vname), bound, body)
-        self._binders.append((vname, sort if sort else SET))
-        return node
+        self._binders.append((vname, sort))
+        return Quant(q, Var(vname), bound, body)
 
     def atom(self):
         if self.peek() == "(":
@@ -416,15 +451,9 @@ class _Parser:
         if tok in ("in", "in1", "in2"):
             return Membership(tok, left, self.term())
         if tok == "sub":
-            return self._subset(left, self.term())
+            # expanded by sort level once sorts are known
+            return Subset(Var("_v%d" % next(self.fresh)), left, self.term())
         raise ParseError("expected a relation at %d, found %r" % (at, tok))
-
-    def _subset(self, left, right):
-        """Expand t ⊆ u by sort level once sorts are known: record a
-        deferred expansion resolved after parsing."""
-        v = "_v%d" % next(self.fresh)
-        self._subsets.append((v, left, right))
-        return ("SUBSET", v, left, right)
 
     def term(self):
         t = self.factor()
@@ -467,15 +496,8 @@ class _Parser:
             self.expect("}")
             return AbstractTerm(tuple(v for v, _ in vs), body)
         vname = self.name()
-        if self.peek() == ":":
-            self.next()
-            sname = self.name()
-            self.expect("|")
-            body = self.formula()
-            self.expect("}")
-            self._binders.append((vname, _SORT_NAMES[sname]))
-            return AbstractTerm((Var(vname),), body)
-        if self.peek() == "in":
+        sort = self._annotation()
+        if sort is None and self.peek() == "in":
             self.next()
             bound = self.term()
             self.expect("|")
@@ -485,20 +507,28 @@ class _Parser:
         self.expect("|")
         body = self.formula()
         self.expect("}")
+        if sort is not None:
+            self._binders.append((vname, sort))
         return AbstractTerm((Var(vname),), body)
 
     def _abs_var(self):
         vname = self.name()
-        sort = SET
-        if self.peek() == ":":
-            self.next()
-            sort = _SORT_NAMES[self.name()]
+        sort = self._annotation() or SET
         self._binders.append((vname, sort))
         return Var(vname), sort
 
+    def _annotation(self):
+        """The sort of an optional `:Sort` annotation, or None."""
+        if self.peek() != ":":
+            return None
+        self.next()
+        sname = self.name()
+        if sname not in _SORT_NAMES:
+            raise ParseError("unknown sort %r" % sname)
+        return _SORT_NAMES[sname]
+
     def run(self, entry):
         self._binders = []
-        self._subsets = []
         root = entry(self)
         self.expect("EOF")
         env = _SortEnv()
@@ -508,7 +538,7 @@ class _Parser:
                                     CProd, Pair))
         # infer free-variable sorts before expanding ⊆, which depends
         # on the sort level of its operands
-        if self._subsets:
+        if any(isinstance(n, Subset) for n in _nodes(root)):
             if is_term:
                 term_level(root, env)
             else:
@@ -521,38 +551,24 @@ class _Parser:
         return Formula(root, dict(env.sorts))
 
     def _expand_subsets(self, node, env):
-        if isinstance(node, tuple) and node and node[0] == "SUBSET":
-            _, v, left, right = node
-            lv = term_level(left, env)
-            rv = term_level(right, env)
-            if lv != rv:
-                raise SortError("⊆ needs both sides at the same level")
-            var = Var(v)
-            if lv == 0:
-                # set inclusion is bounded: ∀v∈left. v∈right
-                env.declare(v, SET)
-                return Quant("forall", var, left,
-                             Membership("in", var, right))
-            env.declare(v, SET if lv == 1 else CLASS)
-            inner = "in1" if lv == 1 else "in2"
-            return Quant("forall", var, None,
-                         BinOp("->", Membership(inner, var, left),
-                               Membership(inner, var, right)))
-        if isinstance(node, Not):
-            return Not(self._expand_subsets(node.body, env))
-        if isinstance(node, BinOp):
-            return BinOp(node.op, self._expand_subsets(node.left, env),
-                         self._expand_subsets(node.right, env))
-        if isinstance(node, Quant):
-            return Quant(node.q, node.var, node.bound,
-                         self._expand_subsets(node.body, env))
-        if isinstance(node, Sep):
-            return Sep(node.var, node.bound,
-                       self._expand_subsets(node.body, env))
-        if isinstance(node, AbstractTerm):
-            return AbstractTerm(node.variables,
-                                self._expand_subsets(node.body, env))
-        return node
+        """node with every ⊆, at any depth, replaced by its expansion."""
+        node = _map(node, lambda child: self._expand_subsets(child, env))
+        if not isinstance(node, Subset):
+            return node
+        lv = term_level(node.left, env)
+        rv = term_level(node.right, env)
+        if lv != rv:
+            raise SortError("⊆ needs both sides at the same level")
+        var, left, right = node.var, node.left, node.right
+        if lv == 0:
+            # set inclusion is bounded: ∀v∈left. v∈right
+            env.declare(var.name, SET)
+            return Quant("forall", var, left, Membership("in", var, right))
+        env.declare(var.name, SET if lv == 1 else CLASS)
+        inner = "in1" if lv == 1 else "in2"
+        return Quant("forall", var, None,
+                     BinOp("->", Membership(inner, var, left),
+                           Membership(inner, var, right)))
 
 
 def parse_formula(text: str) -> Formula:
@@ -637,64 +653,12 @@ def to_text(F: Formula) -> str:
 
 
 def _walk_quantifiers(node):
-    """Yield every Quant node, including those inside separation and
-    abstract bodies."""
-    if isinstance(node, Quant):
-        yield node
-        yield from _walk_quantifiers(node.body)
-        if node.bound is not None:
-            yield from _walk_quantifiers(node.bound)
-    elif isinstance(node, Not):
-        yield from _walk_quantifiers(node.body)
-    elif isinstance(node, BinOp):
-        yield from _walk_quantifiers(node.left)
-        yield from _walk_quantifiers(node.right)
-    elif isinstance(node, (Membership, Eq)):
-        yield from _walk_quantifiers(node.left)
-        yield from _walk_quantifiers(node.right)
-    elif isinstance(node, Sep):
-        yield from _walk_quantifiers(node.bound)
-        yield from _walk_quantifiers(node.body)
-    elif isinstance(node, AbstractTerm):
-        yield from _walk_quantifiers(node.body)
-    elif isinstance(node, Pow):
-        yield from _walk_quantifiers(node.arg)
-    elif isinstance(node, CProd):
-        yield from _walk_quantifiers(node.left)
-        yield from _walk_quantifiers(node.right)
-    elif isinstance(node, Pair):
-        for t in node.items:
-            yield from _walk_quantifiers(t)
+    """Every Quant node in pre-order, including those inside terms."""
+    return (n for n in _nodes(node) if isinstance(n, Quant))
 
 
 def _used_vars(node):
-    if isinstance(node, Var):
-        yield node.name
-    elif isinstance(node, (Const,)):
-        return
-    elif isinstance(node, Pow):
-        yield from _used_vars(node.arg)
-    elif isinstance(node, (CProd, BinOp, Membership, Eq)):
-        yield from _used_vars(node.left)
-        yield from _used_vars(node.right)
-    elif isinstance(node, Pair):
-        for t in node.items:
-            yield from _used_vars(t)
-    elif isinstance(node, Sep):
-        yield node.var.name
-        yield from _used_vars(node.bound)
-        yield from _used_vars(node.body)
-    elif isinstance(node, AbstractTerm):
-        for v in node.variables:
-            yield v.name
-        yield from _used_vars(node.body)
-    elif isinstance(node, Not):
-        yield from _used_vars(node.body)
-    elif isinstance(node, Quant):
-        yield node.var.name
-        if node.bound is not None:
-            yield from _used_vars(node.bound)
-        yield from _used_vars(node.body)
+    return (n.name for n in _nodes(node) if isinstance(n, Var))
 
 
 def is_delta0(F: Formula) -> bool:
@@ -745,41 +709,16 @@ def substitute(node, mapping):
     names are unique per formula, so renaming is never needed."""
     if isinstance(node, Var):
         return mapping.get(node.name, node)
-    if isinstance(node, Const):
-        return node
-    if isinstance(node, Pow):
-        return Pow(substitute(node.arg, mapping))
-    if isinstance(node, CProd):
-        return CProd(substitute(node.left, mapping),
-                     substitute(node.right, mapping))
-    if isinstance(node, Pair):
-        return Pair(tuple(substitute(t, mapping) for t in node.items))
-    if isinstance(node, Sep):
-        inner = {k: v for k, v in mapping.items() if k != node.var.name}
-        return Sep(node.var, substitute(node.bound, mapping),
-                   substitute(node.body, inner))
     if isinstance(node, AbstractTerm):
         names = {v.name for v in node.variables}
-        inner = {k: v for k, v in mapping.items() if k not in names}
-        return AbstractTerm(node.variables, substitute(node.body, inner))
-    if isinstance(node, Membership):
-        return Membership(node.kind, substitute(node.left, mapping),
-                          substitute(node.right, mapping))
-    if isinstance(node, Eq):
-        return Eq(substitute(node.left, mapping),
-                  substitute(node.right, mapping))
-    if isinstance(node, Not):
-        return Not(substitute(node.body, mapping))
-    if isinstance(node, BinOp):
-        return BinOp(node.op, substitute(node.left, mapping),
-                     substitute(node.right, mapping))
-    if isinstance(node, Quant):
-        inner = {k: v for k, v in mapping.items() if k != node.var.name}
+        inner = {k: t for k, t in mapping.items() if k not in names}
+        return replace(node, body=substitute(node.body, inner))
+    if isinstance(node, (Sep, Quant)):
+        inner = {k: t for k, t in mapping.items() if k != node.var.name}
         bound = None if node.bound is None else \
             substitute(node.bound, mapping)
-        return Quant(node.q, node.var, bound,
-                     substitute(node.body, inner))
-    raise ValueError("unknown node %r" % (node,))
+        return replace(node, bound=bound, body=substitute(node.body, inner))
+    return _map(node, lambda child: substitute(child, mapping))
 
 
 def rule6_reduce(abstract: Formula, args) -> Formula:
@@ -815,27 +754,20 @@ def rule6_reduce(abstract: Formula, args) -> Formula:
 
 def normalize_bounds(F: Formula) -> Formula:
     """Rewrite the sugar forms ∀x.(x∈t → φ) and ∃x.(x∈t ∧ φ) into the
-    primitive bounded quantifiers, when x is not free in t."""
+    primitive bounded quantifiers, when x is not free in t, wherever they
+    occur (inside separation and abstract bodies too)."""
     def rec(node):
+        node = _map(node, rec)
         if isinstance(node, Quant) and node.bound is None and \
                 F.sorts.get(node.var.name, SET) == SET:
             body = node.body
-            shape = ("->", "forall") if node.q == "forall" else \
-                ("and", "exists")
-            if isinstance(body, BinOp) and body.op == shape[0] and \
+            op = "->" if node.q == "forall" else "and"
+            if isinstance(body, BinOp) and body.op == op and \
                     isinstance(body.left, Membership) and \
                     body.left.kind == "in" and \
                     body.left.left == node.var and \
                     node.var.name not in set(_used_vars(body.left.right)):
-                return Quant(node.q, node.var, body.left.right,
-                             rec(body.right))
-            return Quant(node.q, node.var, None, rec(body))
-        if isinstance(node, Quant):
-            return Quant(node.q, node.var, node.bound, rec(node.body))
-        if isinstance(node, Not):
-            return Not(rec(node.body))
-        if isinstance(node, BinOp):
-            return BinOp(node.op, rec(node.left), rec(node.right))
+                return replace(node, bound=body.left.right, body=body.right)
         return node
     return Formula(rec(F.root), dict(F.sorts))
 

@@ -330,3 +330,63 @@ def test_identical_invocations_are_byte_identical():
     argv = ["ext", "--ring", "F2x", "--module", "Z2", "--against", "Z2",
             "--max-degree", "2"]
     assert run(*argv) == run(*argv)
+
+
+MISSING_ARGUMENTS = [
+    (["catalog", "show"], "catalog show needs an entry name"),
+    (["catalog", "dump"], "catalog dump needs an entry name"),
+    (["catalog", "dump", "Z2"], "catalog dump needs a destination path"),
+    (["cohomology", "--max-degree", "1"],
+     "give --sheaf, or --space with --coef"),
+    (["cohomology", "--space", "pseudo-circle"],
+     "give --sheaf, or --space with --coef"),
+    (["cech", "--space", "pseudo-circle", "--cover", "a,b,c"],
+     "give --sheaf, or --space with --coef"),
+    (["les", "--space", "interval-3", "--kind", "const", "--d", "2"],
+     "--kind needs both --d and --e"),
+]
+
+
+@pytest.mark.parametrize("argv,message", MISSING_ARGUMENTS,
+                         ids=[" ".join(a) for a, _ in MISSING_ARGUMENTS])
+def test_missing_argument_is_an_input_error(argv, message):
+    assert run(*argv) == (2, "input error: %s\n" % message)
+    code, blob = run("--format", "json", *argv)
+    assert code == 2
+    assert json.loads(blob) == {"exit": 2,
+                                "lines": ["input error: %s" % message]}
+
+
+NEGATIVE_COUNTS = [
+    ["cohomology", "--space", "pseudo-circle", "--coef", "Z2",
+     "--max-degree", "-1"],
+    ["cech", "--space", "pseudo-circle", "--coef", "Z2", "--cover", "a,b,c",
+     "--max-degree", "-1"],
+    ["les", "--space", "interval-3", "--max-degree", "-1"],
+    ["ext", "--ring", "Z4", "--module", "Z2", "--against", "Z2",
+     "--max-degree", "-1"],
+    ["resolve", "--ring", "Z4", "--module", "Z2", "--length", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_COUNTS, ids=[a[0] for a in
+                                                       NEGATIVE_COUNTS])
+def test_negative_degree_or_length_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        run(*argv)
+    assert e.value.code == 2
+    assert "'-1' is not a non-negative integer" in capsys.readouterr().err
+
+
+def test_mtt_set_theoretic_sees_subset_inside_separation(tmp_path):
+    f = tmp_path / "collection.txt"
+    f.write_text("(x in {y in a | Y sub Z}) and (U in2 Y) and (U in2 Z)\n")
+    assert run("mtt", "check", str(f), "--set-theoretic") == \
+        (1, "line 1: not set-theoretic\n")
+
+
+def test_mtt_abstract_unknown_sort_is_a_parse_error(tmp_path):
+    f = tmp_path / "terms.txt"
+    f.write_text("{x:Foo | x = x}\n")
+    assert run("mtt", "check", str(f), "--abstract") == \
+        (2, "input error: unknown sort 'Foo'\n")

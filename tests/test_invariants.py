@@ -2,11 +2,16 @@
 `fractions` arithmetic, the category, presheaf and site layers enumerate
 through `fincat.assignments` and not `itertools.product`, the morphism
 and module checks test whole matrices instead of mapping elements one at
-a time, and no module imports a name it never uses."""
+a time, and no module imports a name it never uses.  One guard imports
+`mttchk` instead: every AST node class is in its child table, which
+every walk over formulas reads."""
 import ast
+import dataclasses
 import pathlib
 
 import pytest
+
+from groundwork import mttchk
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "groundwork"
@@ -141,3 +146,19 @@ def test_package_imports_no_fractions(path):
 @pytest.mark.parametrize("path", MODULES, ids=rel)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_every_mttchk_node_class_is_in_the_child_table():
+    """A node class missing from the table would be skipped silently by
+    every walk; a sub-node field missing from its entry likewise."""
+    results = {mttchk.Formula, mttchk.AbstractSort, mttchk.SeparationVerdict}
+    leaves = {mttchk.Var, mttchk.Const}
+    classes = {c for c in vars(mttchk).values()
+               if isinstance(c, type) and dataclasses.is_dataclass(c)
+               and c.__module__ == mttchk.__name__}
+    assert classes - results - leaves == set(mttchk._CHILDREN)
+    for cls, children in mttchk._CHILDREN.items():
+        fields = {f.name: f.type for f in dataclasses.fields(cls)}
+        assert set(children) <= set(fields), cls
+        assert all(t is str for name, t in fields.items()
+                   if name not in children), cls
