@@ -23,8 +23,8 @@ from .modres import (DEFAULT_ELEMENT_CAP, ResourceCap, baer_check, ext,
                      injective_resolution, regular_module, zmod_module)
 from .mttchk import (ParseError, abstract_wf, is_delta0, is_set_theoretic,
                      parse_formula, parse_term)
-from .presheaf import (enumerate_presheaf_maps, presheaf_from_json_obj,
-                       representable, yoneda_bijection)
+from .presheaf import (enumerate_presheaf_maps, representable,
+                       yoneda_bijection)
 from .shcoh import (SheafMap, cech_cohomology, constant_sheaf,
                     long_exact_sequence, sheaf_cohomology,
                     skyscraper_sheaf, _iso_line)
@@ -88,13 +88,21 @@ def _resolve_module(ring, spec):
     return M
 
 
+def _point(X, name):
+    if name not in X.points:
+        raise catalog.InvalidEntry("unknown point %r" % (name,))
+    return name
+
+
 def _resolve_presheaf(spec, cat):
+    """A catalog presheaf, or a file's presheaf payload read over `cat`."""
     if spec in catalog.list():
         return _load_kind(spec, "presheaf")
     with open(spec) as fh:
         data = json.load(fh)
-    payload = data.get("payload", data)
-    return presheaf_from_json_obj(payload, cat)
+    if type(data) is dict and "payload" in data:
+        data = data["payload"]
+    return catalog.build("presheaf", data, over=cat)
 
 
 # -- subcommand handlers (each returns (exit_code, lines)) -------------------
@@ -105,12 +113,10 @@ def cmd_validate(args):
     for path in args.paths:
         with open(path) as fh:
             data = json.load(fh)
+        if type(data) is not dict:
+            raise catalog.InvalidEntry("%s: not an entry object" % path)
         kind = data.get("kind")
-        builder = catalog._BUILDERS.get(kind)
-        if builder is None:
-            raise catalog.InvalidEntry(
-                "%s: unknown or missing schema kind %r" % (path, kind))
-        builder(data["payload"])
+        catalog.build(kind, data.get("payload"))
         lines.append("OK %s (%s)" % (path, kind))
     return 0, lines
 
@@ -161,7 +167,7 @@ def _sheaf_from_args(args):
     X = _load_kind(args.space, "space")
     factors = _coef_factors(args.coef)
     if args.skyscraper:
-        return skyscraper_sheaf(X, args.skyscraper, factors)
+        return skyscraper_sheaf(X, _point(X, args.skyscraper), factors)
     return constant_sheaf(X, factors)
 
 
@@ -187,7 +193,7 @@ def cmd_les(args):
         rng = random.Random(args.seed)
         kind = rng.choice(["const", "sky"])
         d, e = rng.choice([(2, 2), (3, 2), (2, 3)])
-    point = args.point or sorted(X.points)[0]
+    point = _point(X, args.point) if args.point else sorted(X.points)[0]
     if kind == "const":
         F1, F, F2 = (constant_sheaf(X, [d]), constant_sheaf(X, [d * e]),
                      constant_sheaf(X, [e]))
@@ -348,8 +354,8 @@ def build_parser():
     p = sub.add_parser("les")
     p.add_argument("--space", required=True)
     p.add_argument("--kind", choices=["const", "sky"])
-    p.add_argument("--d", type=int)
-    p.add_argument("--e", type=int)
+    p.add_argument("--d", type=_non_negative)
+    p.add_argument("--e", type=_non_negative)
     p.add_argument("--point")
     p.add_argument("--max-degree", type=_non_negative, default=2)
     p.add_argument("--seed", type=int, default=0)
@@ -416,8 +422,8 @@ def main(argv=None, out=None):
     except (ResourceCap, ResourceExceeded) as exc:
         _emit(args.format, 3, ["resource cap exceeded: %s" % exc], out)
         return 3
-    except (json.JSONDecodeError, ParseError, FileNotFoundError,
-            catalog.UnknownEntry, catalog.InvalidEntry, KeyError) as exc:
+    except (json.JSONDecodeError, ParseError, OSError,
+            catalog.UnknownEntry, catalog.InvalidEntry) as exc:
         _emit(args.format, 2, ["input error: %s" % exc], out)
         return 2
     except (ValueError, AssertionError) as exc:

@@ -6,7 +6,6 @@ instance exhaustively, reporting all violations at once.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -461,28 +460,3 @@ def functor_category(C: FinCategory, D: FinCategory):
     cat = validate_category(tuple(obj_ids), tuple(arrows), dom, cod,
                             identity, compose)
     return cat, of_id, trans_of_id
-
-
-# -- JSON ------------------------------------------------------------------
-
-
-def category_to_json(C: FinCategory) -> str:
-    data = {
-        "objects": list(C.objects),
-        "arrows": [{"id": f, "dom": C.dom[f], "cod": C.cod[f]}
-                   for f in C.arrows],
-        "compose": [[g, f, h]
-                    for (g, f), h in sorted(C.compose_table.items())],
-        "identities": {o: C.identity[o] for o in C.objects},
-    }
-    return json.dumps(data, indent=2, sort_keys=True)
-
-
-def category_from_json(text: str) -> FinCategory:
-    data = json.loads(text)
-    arrows = tuple(a["id"] for a in data["arrows"])
-    dom = {a["id"]: a["dom"] for a in data["arrows"]}
-    cod = {a["id"]: a["cod"] for a in data["arrows"]}
-    compose = {(g, f): h for g, f, h in data["compose"]}
-    return validate_category(tuple(data["objects"]), arrows, dom, cod,
-                             dict(data["identities"]), compose)

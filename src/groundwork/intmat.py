@@ -11,7 +11,6 @@ Hermite form by substitution.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from operator import itemgetter, mul
 
@@ -151,14 +150,6 @@ class IntMatrix:
 
     def is_zero(self) -> bool:
         return all(all(a == 0 for a in row) for row in self.entries)
-
-    def to_json(self) -> str:
-        return json.dumps([[str(a) for a in row] for row in self.entries])
-
-    @staticmethod
-    def from_json(text: str) -> "IntMatrix":
-        data = json.loads(text)
-        return IntMatrix.from_rows([[int(s) for s in row] for row in data])
 
     def __str__(self):
         return "\n".join(" ".join(str(a) for a in row) for row in self.entries)

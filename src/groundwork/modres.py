@@ -218,6 +218,9 @@ def module_from_action_table(ring: FiniteRing, additive: FpAbGroup,
                              table) -> FiniteModule:
     """Build a module from a full (ring element, element) -> element table,
     checking the table agrees with its additive-closure everywhere."""
+    for key in itertools.product(ring.elements(), additive.elements()):
+        if key not in table:
+            raise InvalidModule("action table incomplete at %r" % (key,))
     gens = additive.generators()
     M = validate_module(ring, additive, [
         _endo(additive, lambda x, r=r: _combination(

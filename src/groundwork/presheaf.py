@@ -640,20 +640,3 @@ def adjunction_check(u: FinFunctor, F: Presheaf, G: Presheaf) -> bool:
     unit_star(u, F)
     counit_star(u, G)
     return left and right
-
-
-# -- JSON --------------------------------------------------------------------
-
-
-def presheaf_to_json_obj(F: Presheaf, over_name="C"):
-    return {
-        "over": over_name,
-        "fibers": {o: list(F.fibers[o]) for o in F.cat.objects},
-        "action": sorted([[s, f, v] for (s, f), v in F.action.items()]),
-    }
-
-
-def presheaf_from_json_obj(data, cat: FinCategory) -> Presheaf:
-    fibers = {o: tuple(es) for o, es in data["fibers"].items()}
-    action = {(s, f): v for s, f, v in data["action"]}
-    return validate_presheaf(cat, fibers, action)

@@ -12,7 +12,6 @@ comparison-lemma hypothesis checks for a functor between sites.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 from .fincat import FinCategory, FinFunctor, assignments, poset_category
@@ -517,33 +516,3 @@ def comparison_check(u: FinFunctor, Jp: GrothendieckTopology,
             "counit_iso": is_isomorphism(counit),
         })
     return J, report
-
-
-# -- JSON ----------------------------------------------------------------------
-
-
-def space_to_json(X: FiniteSpace) -> str:
-    return json.dumps({
-        "points": sorted(X.points),
-        "opens": sorted(sorted(U) for U in X.opens),
-    }, indent=2)
-
-
-def space_from_json(text: str) -> FiniteSpace:
-    data = json.loads(text)
-    return FiniteSpace(tuple(data["points"]),
-                       frozenset(frozenset(U) for U in data["opens"]))
-
-
-def site_covers_from_json_obj(cat: FinCategory,
-                              data) -> GrothendieckTopology:
-    """{"covers": {"obj": [[arrowIds] ...]}} — families, sieve-closed on
-    load; completed to a topology by adding the maximal sieve and checking
-    the axioms."""
-    covers = {}
-    for A in cat.objects:
-        sieves = {maximal_sieve(cat, A)}
-        for family in data.get("covers", {}).get(A, []):
-            sieves.add(sieve_generate(cat, A, family))
-        covers[A] = sieves
-    return validate_topology(cat, covers)

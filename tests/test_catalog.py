@@ -1,5 +1,6 @@
 """Tests for the built-in example catalog: every entry validates on
-load, dump round-trips bit-exactly, and pinned shapes match independent
+load, dump round-trips bit-exactly, each writer's payload builds back the
+object it was written from, and pinned shapes match independent
 enumeration."""
 import importlib.util
 import itertools
@@ -9,12 +10,15 @@ import pathlib
 import pytest
 
 from groundwork import catalog
-from groundwork.fincat import FinCategory, validate_category
+from groundwork.fincat import (FinCategory, one_object_group,
+                               validate_category, walking_arrow)
 from groundwork.frac import check_ore
-from groundwork.modres import FiniteModule, FiniteRing
-from groundwork.presheaf import Presheaf
+from groundwork.modres import (FiniteModule, FiniteRing, regular_module,
+                               ring_f2x, ring_zmod, zmod_module)
+from groundwork.presheaf import Presheaf, representable, validate_presheaf
 from groundwork.shcoh import AbelianSheaf
-from groundwork.site import FiniteSpace, GrothendieckTopology
+from groundwork.site import (FiniteSpace, GrothendieckTopology,
+                             discrete_space, pseudo_circle, pseudo_sphere_6)
 
 
 def test_list_has_at_least_twelve_entries():
@@ -40,11 +44,20 @@ def test_every_entry_validates_on_load():
         assert e.note
 
 
-def test_unknown_name_raises():
+def test_unknown_name_raises(tmp_path):
     with pytest.raises(catalog.UnknownEntry):
         catalog.load("no-such-entry")
     with pytest.raises(catalog.UnknownEntry):
-        catalog.dump("no-such-entry", "/tmp/x.json")
+        catalog.dump("no-such-entry", tmp_path / "x.json")
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_dump_of_unknown_name_leaves_destination_alone(tmp_path):
+    dest = tmp_path / "keep.json"
+    dest.write_bytes(b"precious\n")
+    with pytest.raises(catalog.UnknownEntry):
+        catalog.dump("zz", dest)
+    assert dest.read_bytes() == b"precious\n"
 
 
 def test_dump_round_trips_bit_exact(tmp_path):
@@ -153,3 +166,58 @@ def test_presheaf_entry_is_representable_at_1():
     F = catalog.load("yoneda-presheaf").value
     assert set(F.fibers["0"]) == {"a"}
     assert set(F.fibers["1"]) == {"id1"}
+
+
+# -- writers: build(kind, writer(x)) gives x back -----------------------------
+
+
+def z3_category():
+    table = {("e", "e"): "e", ("e", "g"): "g", ("e", "g2"): "g2",
+             ("g", "e"): "g", ("g", "g"): "g2", ("g", "g2"): "e",
+             ("g2", "e"): "g2", ("g2", "g"): "e", ("g2", "g2"): "g"}
+    return one_object_group(["e", "g", "g2"], lambda a, b: table[(a, b)],
+                            "e")
+
+
+def test_category_round_trip():
+    for C in (walking_arrow(), z3_category()):
+        assert catalog.build("category", catalog.category_to_payload(C)) == C
+
+
+def test_space_round_trip():
+    for X in (pseudo_circle(), pseudo_sphere_6(), discrete_space(("p", "q"))):
+        assert catalog.build("space", catalog.space_to_payload(X)) == X
+
+
+def test_presheaf_round_trip():
+    """F(1) = {x, y} and F(0) = {u} on the walking arrow, both collapsing
+    to u; read over the catalog entry, and over a category given instead."""
+    C = walking_arrow()
+    F = validate_presheaf(C, {"0": ("u",), "1": ("x", "y")},
+                          {("u", "id0"): "u", ("x", "id1"): "x",
+                           ("y", "id1"): "y", ("x", "a"): "u",
+                           ("y", "a"): "u"})
+    payload = catalog.presheaf_to_payload(F, "walking-arrow")
+    assert catalog.build("presheaf", payload) == F
+    assert catalog.build("presheaf", payload, over=C) == F
+    G = representable(C, "1")
+    assert catalog.build("presheaf",
+                         catalog.presheaf_to_payload(G, "walking-arrow")) == G
+
+
+def test_ring_round_trip():
+    for R in (ring_zmod(4), ring_zmod(6), ring_f2x()):
+        S = catalog.build("ring", catalog.ring_to_payload(R))
+        assert (S.name, S.additive.invariant_factors, S.one, S.mul) == \
+            (R.name, R.additive.invariant_factors, R.one, R.mul)
+
+
+def test_module_round_trip():
+    R = catalog.load("Z4").value
+    for M in (zmod_module(R, 2), regular_module(R)):
+        N = catalog.build("module", catalog.module_to_payload(M, "Z4"))
+        assert N.ring.name == R.name
+        assert N.additive.invariant_factors == M.additive.invariant_factors
+        assert {(r, m): N.act(r, m) for r in R.elements()
+                for m in N.elements()} == \
+            {(r, m): M.act(r, m) for r in R.elements() for m in M.elements()}

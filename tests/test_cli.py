@@ -1,10 +1,15 @@
 """End-to-end tests for the `gw` command line: pinned reports, the
 exit-code contract (0 success, 1 semantic failure, 2 input error,
-3 resource cap), format equivalence, and byte-for-byte determinism."""
+3 resource cap), format equivalence, byte-for-byte determinism, and
+mutated catalog payloads, which exit 2 when mis-shaped and never end in a
+traceback."""
+import copy
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groundwork import catalog
 from groundwork.cli import main
@@ -313,6 +318,14 @@ def test_catalog_subcommand(tmp_path):
     assert code == 0 and dest.exists()
 
 
+def test_catalog_dump_of_unknown_name_leaves_destination_alone(tmp_path):
+    dest = tmp_path / "important.json"
+    dest.write_bytes(b"{}\n")
+    code, out = run("catalog", "dump", "zz", str(dest))
+    assert code == 2 and "input error" in out
+    assert dest.read_bytes() == b"{}\n"
+
+
 def test_json_format_matches_text_content():
     for argv in [["cohomology", "--space", "pseudo-circle",
                   "--coef", "Z2", "--max-degree", "1"],
@@ -390,3 +403,224 @@ def test_mtt_abstract_unknown_sort_is_a_parse_error(tmp_path):
     f.write_text("{x:Foo | x = x}\n")
     assert run("mtt", "check", str(f), "--abstract") == \
         (2, "input error: unknown sort 'Foo'\n")
+
+
+# -- malformed payloads and files ---------------------------------------------
+
+
+def write_entry(path, name, mutate):
+    data = json.loads(catalog._resource(name).read_text())
+    mutate(data["payload"])
+    path.write_text(json.dumps(data))
+
+
+MALFORMED_PAYLOADS = [
+    ("walking-arrow", lambda p: p["arrows"].__setitem__(0, "x"),
+     "arrows: entry 'x' "),
+    ("walking-arrow", lambda p: p["compose"][0].pop(),
+     "compose: entry ['a', 'id0'] "),
+    ("pseudo-circle", lambda p: p.__setitem__("opens", 5),
+     "opens: entry 5 "),
+    ("Z2", lambda p: p.__setitem__("invariant_factors", "x"),
+     "invariant_factors: entry 'x' "),
+    ("skyscraper-Z4-pseudo-circle", lambda p: p.__setitem__("point", "zz"),
+     "point: entry 'zz' "),
+    ("square-site", lambda p: p["covers"]["1"][0].__setitem__(0, "nope"),
+     "covers: entry 'nope' "),
+    ("walking-arrow", lambda p: p.pop("objects"), "objects: missing field"),
+    ("yoneda-presheaf", lambda p: p.__setitem__("over", "nope"),
+     "over: entry 'nope' "),
+    ("Z2-over-Z4", lambda p: p.__setitem__("ring", "nope"),
+     "ring: entry 'nope' "),
+    ("Z2-over-Z4", lambda p: p.__setitem__("ring", "pseudo-circle"),
+     "ring: entry 'pseudo-circle' "),
+    ("constant-Z3-pseudo-circle", lambda p: p.__setitem__("space", "nope"),
+     "space: entry 'nope' "),
+    ("constant-Z3-pseudo-circle",
+     lambda p: p.__setitem__("construction", "zz"),
+     "construction: entry 'zz' "),
+]
+
+
+@pytest.mark.parametrize("name,mutate,message", MALFORMED_PAYLOADS,
+                         ids=[m for _, _, m in MALFORMED_PAYLOADS])
+def test_validate_malformed_payload_exits_2(tmp_path, name, mutate,
+                                            message):
+    path = tmp_path / "bad.json"
+    write_entry(path, name, mutate)
+    code, out = run("validate", str(path))
+    assert (code, out[:len("input error: ") + len(message)]) == \
+        (2, "input error: " + message)
+
+
+def test_validate_incomplete_action_table_exits_1(tmp_path):
+    """A well-shaped module payload missing any one action entry is a
+    semantic failure, whether or not the entry acts on a generator."""
+    path = tmp_path / "cut.json"
+    table = catalog.load("Z2-over-Z4").payload["action"]
+    for r, m, _ in table:
+        write_entry(path, "Z2-over-Z4",
+                    lambda p: p["action"].remove(next(
+                        e for e in p["action"] if e[:2] == [r, m])))
+        assert run("validate", str(path)) == \
+            (1, "failure: action table incomplete at ((%d,), (%d,))\n"
+             % (r, m))
+
+
+def test_validate_top_level_array_exits_2(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert run("validate", str(path)) == \
+        (2, "input error: %s: not an entry object\n" % path)
+
+
+def test_presheaf_file_of_wrong_shape_exits_2(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"fibers": 5}))
+    assert run("sheafify", "--site", "square-site", "--presheaf",
+               str(path)) == \
+        (2, "input error: fibers: entry 5 is not an object\n")
+
+
+def test_presheaf_file_is_read_over_the_site_category(tmp_path):
+    # a bare payload without "over", and a dumped entry envelope
+    bare = tmp_path / "bare.json"
+    payload = catalog.load("square-presheaf").payload
+    bare.write_text(json.dumps({k: v for k, v in payload.items()
+                                if k != "over"}))
+    dumped = tmp_path / "dumped.json"
+    catalog.dump("square-presheaf", dumped)
+    for path in (bare, dumped):
+        code, out = run("sheafify", "--site", "square-site", "--presheaf",
+                        str(path))
+        assert code == 0 and "unit F -> aF is iso: yes" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--space", "pseudo-circle", "--coef", "Z2",
+     "--skyscraper", "zz"],
+    ["cech", "--space", "pseudo-circle", "--coef", "Z2",
+     "--skyscraper", "zz", "--cover", "a,b,c"],
+    ["les", "--space", "interval-3", "--kind", "sky", "--d", "2",
+     "--e", "2", "--point", "zz"],
+], ids=["cohomology", "cech", "les"])
+def test_unknown_point_exits_2(argv):
+    assert run(*argv) == (2, "input error: unknown point 'zz'\n")
+
+
+@pytest.mark.parametrize("flag", ["--d", "--e"])
+def test_les_negative_factor_exits_2(flag, capsys):
+    argv = {"--d": "2", "--e": "2", flag: "-2"}
+    with pytest.raises(SystemExit) as e:
+        run("les", "--space", "interval-3", "--kind", "const",
+            *[a for item in argv.items() for a in item])
+    assert e.value.code == 2
+    assert "'-2' is not a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["validate", "{dir}"],
+                                  ["catalog", "dump", "Z2", "{dir}"]],
+                         ids=["validate", "dump"])
+def test_directory_path_is_an_input_error(tmp_path, argv):
+    code, out = run(*[a.format(dir=tmp_path) for a in argv])
+    assert code == 2
+    assert out.startswith("input error: [Errno 21] Is a directory")
+
+
+# A mutation of a shipped payload: drop a field, give a value of another
+# JSON type, cut a list entry, wrap a value in a list, or rename a name
+# to one the payload does not define.  All but a cut leave the payload
+# mis-shaped; a cut does too when it shortens a three-entry list.
+MAPS = ("identities", "fibers", "covers")    # objects keyed by names
+TRIPLES = ("compose", "mul", "action")       # lists of three-entry lists
+MUTATIONS = settings(max_examples=300, deadline=None, derandomize=True,
+                     database=None)
+
+
+def json_type(value):
+    return type(value).__name__
+
+
+def nodes(value, path=()):
+    """(path, value) for every node of a JSON tree, root first."""
+    yield path, value
+    items = enumerate(value) if isinstance(value, list) else \
+        value.items() if isinstance(value, dict) else ()
+    for key, child in items:
+        yield from nodes(child, path + (key,))
+
+
+def mutation_sites(payload):
+    sites = []
+    for path, value in nodes(payload):
+        sites += [("retype", path), ("wrap", path)]
+        if isinstance(value, dict) and not (path and path[-1] in MAPS):
+            sites += [("drop", path + (k,)) for k in value]
+        if isinstance(value, dict) and path and path[-1] in MAPS:
+            sites += [("rename-key", path + (k,)) for k in value]
+        if isinstance(value, list):
+            sites += [("cut", path + (i,)) for i in range(len(value))]
+        if isinstance(value, str) and path[-1] != "ring_name":
+            sites.append(("rename", path))
+    return sites
+
+
+@st.composite
+def mutated(draw, payload):
+    """(mutated copy of payload, whether it is mis-shaped)."""
+    payload = copy.deepcopy(payload)
+    how, path = draw(st.sampled_from(mutation_sites(payload)))
+    parent, key = None, None
+    value = payload
+    for key in path:
+        parent, value = value, value[key]
+    if how == "retype":
+        value = draw(st.sampled_from(
+            [v for v in (7, "x", [], {}, None, True, 1.5)
+             if json_type(v) != json_type(value)]))
+    elif how == "wrap":
+        value = [value]
+    elif how == "rename":
+        value = "zz-undefined"
+    elif how == "rename-key":
+        parent["zz-undefined"] = parent.pop(key)
+    else:       # drop or cut
+        del parent[key]
+    if how in ("retype", "wrap", "rename"):
+        if parent is None:
+            payload = value
+        else:
+            parent[key] = value
+    shortened = how == "cut" and len(path) == 3 and path[0] in TRIPLES
+    return payload, how != "cut" or shortened
+
+
+def assert_exit(result, mis_shaped):
+    code, out = result
+    if mis_shaped or code == 2:
+        assert code == 2 and out.startswith("input error: "), out
+    else:
+        assert code in (0, 1) and (code == 0 or out.startswith("failure: "))
+
+
+@MUTATIONS
+@given(st.data())
+def test_mutated_entry_validates_or_exits_2(tmp_path_factory, data):
+    name = data.draw(st.sampled_from(catalog.list()))
+    entry = catalog.load(name)
+    payload, mis_shaped = data.draw(mutated(entry.payload))
+    path = tmp_path_factory.getbasetemp() / "mutant.json"
+    path.write_text(json.dumps({"kind": entry.kind, "payload": payload}))
+    assert_exit(run("validate", str(path)), mis_shaped)
+
+
+@MUTATIONS
+@given(st.data())
+def test_mutated_presheaf_file_sheafifies_or_exits_2(tmp_path_factory, data):
+    bare = {k: v for k, v in catalog.load("square-presheaf").payload.items()
+            if k != "over"}
+    payload, mis_shaped = data.draw(mutated(bare))
+    path = tmp_path_factory.getbasetemp() / "mutant-presheaf.json"
+    path.write_text(json.dumps(payload))
+    assert_exit(run("sheafify", "--site", "square-site", "--presheaf",
+                    str(path)), mis_shaped)

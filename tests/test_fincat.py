@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from groundwork.fincat import (InvalidCategory, category_from_json,
-                               category_to_json, compose_functors,
+from groundwork.fincat import (InvalidCategory, compose_functors,
                                discrete_category, enumerate_functors,
                                enumerate_nat_trans, functor_category,
                                horizontal_compose, identity_functor,
@@ -292,8 +291,3 @@ def test_empty_and_discrete():
     assert E.objects == ()
     D = discrete_category(["x", "y"])
     assert len(D.arrows) == 2
-
-
-def test_json_round_trip():
-    for C in (walking_arrow(), z3_category()):
-        assert category_from_json(category_to_json(C)) == C

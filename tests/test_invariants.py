@@ -2,9 +2,10 @@
 `fractions` arithmetic, the category, presheaf and site layers enumerate
 through `fincat.assignments` and not `itertools.product`, the morphism
 and module checks test whole matrices instead of mapping elements one at
-a time, and no module imports a name it never uses.  One guard imports
-`mttchk` instead: every AST node class is in its child table, which
-every walk over formulas reads."""
+a time, only `catalog` and `cli` read or write JSON, and no module
+imports a name it never uses.  One guard imports `mttchk` instead: every
+AST node class is in its child table, which every walk over formulas
+reads."""
 import ast
 import dataclasses
 import pathlib
@@ -141,6 +142,14 @@ def test_package_imports_no_fractions(path):
     tree = ast.parse(path.read_text())
     assert not {m for m in imported_modules(tree)
                 if m.split(".")[0] == "fractions"}
+
+
+def test_only_catalog_and_cli_import_json():
+    """The payload schema lives in `catalog`; `cli` reads files and writes
+    `--format json` reports."""
+    importers = {rel(p) for p in PACKAGE.rglob("*.py")
+                 if "json" in set(imported_modules(ast.parse(p.read_text())))}
+    assert importers == {"src/groundwork/catalog.py", "src/groundwork/cli.py"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=rel)

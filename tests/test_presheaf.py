@@ -10,7 +10,6 @@ from groundwork.presheaf import (InvalidPresheaf, PresheafMap,
                                  coproduct, counit_shriek, counit_star,
                                  empty_presheaf, enumerate_presheaf_maps,
                                  generator_property_check, identity_map,
-                                 presheaf_from_json_obj, presheaf_to_json_obj,
                                  product, representable,
                                  representable_on_arrow, terminal_presheaf,
                                  u_lower_star, u_shriek, u_star, unit_shriek,
@@ -362,10 +361,3 @@ def test_triangle_identities():
         u_mu = PresheafMap(R, u_star(u, P3), restricted).check()
         delta = counit_star(u, R)
         assert delta.compose(u_mu) == identity_map(R)
-
-
-def test_json_round_trip():
-    C = walking_arrow()
-    F = collapse_presheaf()
-    data = presheaf_to_json_obj(F)
-    assert presheaf_from_json_obj(data, C) == F

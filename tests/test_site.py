@@ -10,8 +10,7 @@ from groundwork.site import (HypothesisFailure, InvalidTopology,
                              open_poset_category, pseudo_circle,
                              pseudo_sphere_6, sheafify,
                              sheafify_universal_check, sieve_generate,
-                             site_from_finite_space, space_from_json,
-                             space_to_json, trivial_topology,
+                             site_from_finite_space, trivial_topology,
                              validate_topology)
 
 
@@ -277,11 +276,6 @@ def test_connected_components():
     assert len(X.connected_components(frozenset({"a", "b"}))) == 2
     D = discrete_space(["p", "q"])
     assert len(D.connected_components()) == 2
-
-
-def test_space_json_round_trip():
-    X = pseudo_circle()
-    assert space_from_json(space_to_json(X)) == X
 
 
 # -- comparison lemma ---------------------------------------------------------------

@@ -1,39 +1,27 @@
 """Regenerate the JSON data files under src/groundwork/catalog/.
 
-Every payload is produced by the library's own constructors and
-serializers, so the files stay in sync with the validators that read
-them back.  Output is deterministic (sorted keys, two-space indent,
-trailing newline).
+Every payload is produced by the library's own constructors and the
+writers in `groundwork.catalog` (`category_to_payload`,
+`space_to_payload`, `presheaf_to_payload`, `ring_to_payload`,
+`module_to_payload`), the module that also reads them back, so the files
+stay in sync with the schema and validators.  Output is deterministic
+(sorted keys, two-space indent, trailing newline).
 """
 import json
 import pathlib
 
-from groundwork.catalog import module_to_payload, ring_to_payload
-from groundwork.fincat import (FinCategory, poset_category,
-                               terminal_category, walking_arrow)
+from groundwork.catalog import (category_to_payload, module_to_payload,
+                                presheaf_to_payload, ring_to_payload,
+                                space_to_payload)
+from groundwork.fincat import (poset_category, terminal_category,
+                               walking_arrow)
 from groundwork.modres import ring_f2x, ring_zmod, zmod_module
-from groundwork.presheaf import presheaf_to_json_obj, representable
+from groundwork.presheaf import representable
 from groundwork.site import (discrete_space, pseudo_circle,
-                             pseudo_sphere_6, space_from_minimal_opens,
-                             space_to_json)
+                             pseudo_sphere_6, space_from_minimal_opens)
 
 OUT = pathlib.Path(__file__).resolve().parent.parent \
     / "src" / "groundwork" / "catalog"
-
-
-def category_payload(C: FinCategory):
-    return {
-        "objects": list(C.objects),
-        "arrows": [{"id": f, "dom": C.dom[f], "cod": C.cod[f]}
-                   for f in C.arrows],
-        "compose": [[g, f, h]
-                    for (g, f), h in sorted(C.compose_table.items())],
-        "identities": {o: C.identity[o] for o in C.objects},
-    }
-
-
-def space_payload(X):
-    return json.loads(space_to_json(X))
 
 
 def square_poset():
@@ -63,35 +51,35 @@ def interval_3():
 ENTRIES = [
     ("walking-arrow", "category",
      "free-standing arrow 0 -> 1",
-     lambda: category_payload(walking_arrow())),
+     lambda: category_to_payload(walking_arrow())),
     ("terminal", "category",
      "one object, one identity arrow",
-     lambda: category_payload(terminal_category())),
+     lambda: category_to_payload(terminal_category())),
     ("square-poset", "category",
      "poset 0 < x, y < 1 viewed as a category",
-     lambda: category_payload(square_poset())),
+     lambda: category_to_payload(square_poset())),
     ("span", "category",
      "poset with c below l and r (two arrows out of the middle)",
-     lambda: category_payload(span())),
+     lambda: category_to_payload(span())),
     ("cospan", "category",
      "poset with l and r below c (two arrows into the middle); with "
      "sigma = {l<=c} the right Ore square condition fails",
-     lambda: category_payload(cospan())),
+     lambda: category_to_payload(cospan())),
     ("pseudo-circle", "space",
      "4-point model of the circle: two closed points each below two "
      "open points",
-     lambda: space_payload(pseudo_circle())),
+     lambda: space_to_payload(pseudo_circle())),
     ("pseudo-sphere-6", "space",
      "6-point model of the 2-sphere (non-Hausdorff suspension of the "
      "pseudo-circle)",
-     lambda: space_payload(pseudo_sphere_6())),
+     lambda: space_to_payload(pseudo_sphere_6())),
     ("interval-3", "space",
      "3-point contractible space: one generic point over two closed "
      "points",
-     lambda: space_payload(interval_3())),
+     lambda: space_to_payload(interval_3())),
     ("discrete-2", "space",
      "two-point discrete space",
-     lambda: space_payload(discrete_space(("p", "q")))),
+     lambda: space_to_payload(discrete_space(("p", "q")))),
     ("Z2", "ring", "the field Z/2",
      lambda: ring_to_payload(ring_zmod(2))),
     ("Z4", "ring", "Z/4, the smallest non-semisimple Z/n",
@@ -105,12 +93,12 @@ ENTRIES = [
      lambda: module_to_payload(zmod_module(ring_zmod(4), 2), "Z4")),
     ("yoneda-presheaf", "presheaf",
      "the representable presheaf at object 1 of the walking arrow",
-     lambda: presheaf_to_json_obj(representable(walking_arrow(), "1"),
-                                  over_name="walking-arrow")),
+     lambda: presheaf_to_payload(representable(walking_arrow(), "1"),
+                                 "walking-arrow")),
     ("square-presheaf", "presheaf",
      "the representable presheaf at the top object of the square poset",
-     lambda: presheaf_to_json_obj(representable(square_poset(), "1"),
-                                  over_name="square-poset")),
+     lambda: presheaf_to_payload(representable(square_poset(), "1"),
+                                 "square-poset")),
     ("square-site", "site",
      "square poset with {x<=1, y<=1} covering the top object",
      lambda: {"over": "square-poset",
