@@ -13,22 +13,23 @@ from collections import namedtuple
 from dataclasses import dataclass
 from importlib import resources
 
+from . import InputError
 from .fincat import FinCategory, validate_category
 from .fpgroup import fp_from_factors
 from .frac import normalize_arrow_class
-from .modres import (FiniteModule, FiniteRing, module_from_action_table,
-                     validate_ring)
+from .modres import (FiniteModule, FiniteRing, InvalidModule, InvalidRing,
+                     _finite, module_from_action_table, validate_ring)
 from .presheaf import Presheaf, validate_presheaf
 from .shcoh import constant_sheaf, skyscraper_sheaf
 from .site import (FiniteSpace, maximal_sieve, sieve_generate,
                    validate_topology)
 
 
-class UnknownEntry(KeyError):
+class UnknownEntry(InputError):
     pass
 
 
-class InvalidEntry(ValueError):
+class InvalidEntry(InputError):
     pass
 
 
@@ -45,7 +46,7 @@ class CatalogEntry:
 def _resource(name):
     path = resources.files(__package__) / "catalog" / (name + ".json")
     if not path.is_file():
-        raise UnknownEntry(name)
+        raise UnknownEntry("unknown catalog entry %r" % (name,))
     return path
 
 
@@ -75,17 +76,19 @@ def dump(name: str, path) -> None:
 
 
 # -- the payload schema -------------------------------------------------------
-# A shape is `int` or `str`; a name space such as "objects", for a name
-# the payload (or an entry it names) defined earlier; `New(space)`, a name
-# defined there; `[shape]`, a list; a tuple, a list of exactly those
-# entries; a dict, an object with those fields, checked in order; `Map`;
-# `Entry(kind)`, the name of a catalog entry of that kind, whose objects,
-# arrows or points come into scope; or `Tagged`, an object whose `tag`
-# field picks its fields.  `_element` range-checks ring element indices.
+# A shape is `int`, `str` or `Factor` (a non-negative integer); a name
+# space such as "objects", for a name the payload (or an entry it names)
+# defined earlier; `New(space)`, a name defined there; `[shape]`, a list;
+# a tuple, a list of exactly those entries; a dict, an object with those
+# fields, checked in order; `Map`; `Entry(kind)`, the name of a catalog
+# entry of that kind, whose objects, arrows or points come into scope; or
+# `Tagged`, an object whose `tag` field picks its fields.  `_element`
+# range-checks ring element indices.
 New = namedtuple("New", "space")
 Entry = namedtuple("Entry", "kind")
 Map = namedtuple("Map", "key value")
 Tagged = namedtuple("Tagged", "tag variants")
+Factor = object()
 
 SCHEMA = {
     "category": {"objects": [New("objects")],
@@ -94,9 +97,9 @@ SCHEMA = {
                  "compose": [("arrows", "arrows", "arrows")],
                  "identities": Map("objects", "arrows")},
     "space": {"points": [New("points")], "opens": [["points"]]},
-    "ring": {"ring_name": str, "invariant_factors": [int], "one": int,
+    "ring": {"ring_name": str, "invariant_factors": [Factor], "one": int,
              "mul": [(int, int, int)]},
-    "module": {"ring": Entry("ring"), "invariant_factors": [int],
+    "module": {"ring": Entry("ring"), "invariant_factors": [Factor],
                "action": [(int, int, int)]},
     "presheaf": {"over": Entry("category"),
                  "fibers": Map("objects", [New("elements")]),
@@ -104,9 +107,9 @@ SCHEMA = {
     "site": {"over": Entry("category"),
              "covers": Map("objects", [["arrows"]])},
     "sheaf": Tagged("construction", {
-        "constant": {"space": Entry("space"), "factors": [int]},
+        "constant": {"space": Entry("space"), "factors": [Factor]},
         "skyscraper": {"space": Entry("space"), "point": "points",
-                       "factors": [int]}}),
+                       "factors": [Factor]}}),
     "sigma": {"over": Entry("category"), "arrows": ["arrows"]},
 }
 
@@ -121,10 +124,12 @@ def _check(shape, payload, over=None):
                             % (field or "payload", value, want))
 
     def walk(shape, value, field):
-        if shape in (int, str):
-            if type(value) is not shape:
-                raise bad(field, value,
-                          "a string" if shape is str else "an integer")
+        if shape in (int, str, Factor):
+            if type(value) is not (int if shape is Factor else shape) or \
+                    shape is Factor and value < 0:
+                raise bad(field, value, "a string" if shape is str else
+                          "an integer" if shape is int else
+                          "a non-negative integer")
         elif type(shape) in (str, New):
             new = type(shape) is New
             known = names.setdefault(shape.space if new else shape, set())
@@ -201,7 +206,7 @@ def _build_category(p, refs):
 
 
 def _build_ring(p, refs):
-    G = fp_from_factors(p["invariant_factors"])
+    G = _finite(fp_from_factors(p["invariant_factors"]), InvalidRing)
     elems = G.elements()
     mul = {(_element(elems, "mul", i), _element(elems, "mul", j)):
            _element(elems, "mul", k) for i, j, k in p["mul"]}
@@ -210,7 +215,8 @@ def _build_ring(p, refs):
 
 
 def _build_module(p, refs):
-    ring, G = refs["ring"], fp_from_factors(p["invariant_factors"])
+    ring = refs["ring"]
+    G = _finite(fp_from_factors(p["invariant_factors"]), InvalidModule)
     relems, melems = ring.elements(), G.elements()
     table = {(_element(relems, "action", r), _element(melems, "action", m)):
              _element(melems, "action", out) for r, m, out in p["action"]}

@@ -2,9 +2,12 @@
 
 Batch reports only; identical invocations produce byte-identical output.
 Exit codes: 0 success, 1 semantic failure (with witnesses), 2 input or
-schema error, 3 resource cap exceeded.  `--format json` emits the same
-content as the text report, machine-readable.  The element cap for
-resolution-style computations defaults to 10^6 and can be overridden
+schema error, 3 resource cap exceeded.  Codes 1-3 come from the kind of
+the package's `GroundworkError`; an unreadable or non-UTF-8 file and
+malformed JSON are input errors too.  Any other exception is a bug and
+propagates as a traceback, with nothing reported.  `--format json` emits
+the same content as the text report, machine-readable.  The element cap
+for resolution-style computations defaults to 10^6 and can be overridden
 with the GW_ELEMENT_CAP environment variable, which must be a positive
 integer (anything else is an input error).
 """
@@ -15,20 +18,20 @@ import random
 import re
 import sys
 
-from . import catalog
+from . import GroundworkError, InputError, catalog
 from .fpgroup import FpMorphism, fp_cyclic, fp_zero_morphism
 from .frac import check_ore, hom_table, localize, normalize_arrow_class
 from .intmat import IntMatrix
-from .modres import (DEFAULT_ELEMENT_CAP, ResourceCap, baer_check, ext,
+from .modres import (DEFAULT_ELEMENT_CAP, baer_check, ext,
                      injective_resolution, regular_module, zmod_module)
-from .mttchk import (ParseError, abstract_wf, is_delta0, is_set_theoretic,
-                     parse_formula, parse_term)
+from .mttchk import (abstract_wf, is_delta0, is_set_theoretic, parse_formula,
+                     parse_term)
 from .presheaf import (enumerate_presheaf_maps, representable,
                        yoneda_bijection)
 from .shcoh import (SheafMap, cech_cohomology, constant_sheaf,
                     long_exact_sequence, sheaf_cohomology,
                     skyscraper_sheaf, _iso_line)
-from .site import ResourceExceeded, is_sheaf, sheafify, is_isomorphism
+from .site import is_sheaf, sheafify, is_isomorphism
 
 
 def _element_cap():
@@ -38,7 +41,7 @@ def _element_cap():
     except ValueError:
         cap = 0
     if cap < 1:
-        raise catalog.InvalidEntry(
+        raise InputError(
             "GW_ELEMENT_CAP must be a positive integer, not %r" % (raw,))
     return cap
 
@@ -58,7 +61,7 @@ def _non_negative(text):
 def _load_kind(name, kind):
     entry = catalog.load(name)
     if entry.kind != kind:
-        raise catalog.InvalidEntry(
+        raise InputError(
             "%r is a %s entry, expected %s" % (name, entry.kind, kind))
     return entry.value
 
@@ -68,7 +71,7 @@ def _coef_factors(spec):
     for part in spec.split("+"):
         m = re.fullmatch(r"Z(\d+)", part.strip())
         if not m:
-            raise catalog.InvalidEntry(
+            raise InputError(
                 "coefficient spec %r is not of the form Zn[+Zm...]"
                 % (spec,))
         factors.append(int(m.group(1)))
@@ -83,14 +86,15 @@ def _resolve_module(ring, spec):
         return zmod_module(ring, int(m.group(1)))
     M = _load_kind(spec, "module")
     if M.ring.name != ring.name:
-        raise catalog.InvalidEntry(
+        raise InputError(
             "module %r is over %s, not %s" % (spec, M.ring.name, ring.name))
     return M
 
 
-def _point(X, name):
-    if name not in X.points:
-        raise catalog.InvalidEntry("unknown point %r" % (name,))
+def _known(names, name, what):
+    """`name`, if it is one of `names` (objects, points or arrows)."""
+    if name not in names:
+        raise InputError("unknown %s %r" % (what, name))
     return name
 
 
@@ -98,7 +102,7 @@ def _resolve_presheaf(spec, cat):
     """A catalog presheaf, or a file's presheaf payload read over `cat`."""
     if spec in catalog.list():
         return _load_kind(spec, "presheaf")
-    with open(spec) as fh:
+    with open(spec, encoding="utf-8") as fh:
         data = json.load(fh)
     if type(data) is dict and "payload" in data:
         data = data["payload"]
@@ -111,10 +115,10 @@ def _resolve_presheaf(spec, cat):
 def cmd_validate(args):
     lines = []
     for path in args.paths:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         if type(data) is not dict:
-            raise catalog.InvalidEntry("%s: not an entry object" % path)
+            raise InputError("%s: not an entry object" % path)
         kind = data.get("kind")
         catalog.build(kind, data.get("payload"))
         lines.append("OK %s (%s)" % (path, kind))
@@ -123,8 +127,7 @@ def cmd_validate(args):
 
 def cmd_yoneda_check(args):
     C = _load_kind(args.category, "category")
-    if args.object not in C.objects:
-        raise catalog.InvalidEntry("unknown object %r" % (args.object,))
+    _known(C.objects, args.object, "object")
     F = (_resolve_presheaf(args.presheaf, C) if args.presheaf
          else representable(C, args.object))
     transforms = enumerate_presheaf_maps(representable(C, args.object), F)
@@ -162,12 +165,12 @@ def _sheaf_from_args(args):
     if args.sheaf:
         return _load_kind(args.sheaf, "sheaf")
     if args.space is None or args.coef is None:
-        raise catalog.InvalidEntry(
-            "give --sheaf, or --space with --coef")
+        raise InputError("give --sheaf, or --space with --coef")
     X = _load_kind(args.space, "space")
     factors = _coef_factors(args.coef)
     if args.skyscraper:
-        return skyscraper_sheaf(X, _point(X, args.skyscraper), factors)
+        return skyscraper_sheaf(X, _known(X.points, args.skyscraper, "point"),
+                                factors)
     return constant_sheaf(X, factors)
 
 
@@ -178,7 +181,8 @@ def cmd_cohomology(args):
 
 def cmd_cech(args):
     F = _sheaf_from_args(args)
-    cover = [frozenset(u.split(",")) for u in args.cover]
+    cover = [frozenset(_known(F.space.points, p, "point")
+                       for p in u.split(",")) for u in args.cover]
     report = cech_cohomology(F, cover, args.max_degree)
     return 0, ["Hcech^%d = %s" % (n, line.split(" = ", 1)[1])
                for n, line in enumerate(report.lines())]
@@ -188,12 +192,13 @@ def cmd_les(args):
     X = _load_kind(args.space, "space")
     kind, d, e = args.kind, args.d, args.e
     if kind is not None and (d is None or e is None):
-        raise catalog.InvalidEntry("--kind needs both --d and --e")
+        raise InputError("--kind needs both --d and --e")
     if kind is None:
         rng = random.Random(args.seed)
         kind = rng.choice(["const", "sky"])
         d, e = rng.choice([(2, 2), (3, 2), (2, 3)])
-    point = _point(X, args.point) if args.point else sorted(X.points)[0]
+    point = (_known(X.points, args.point, "point") if args.point
+             else sorted(X.points)[0])
     if kind == "const":
         F1, F, F2 = (constant_sheaf(X, [d]), constant_sheaf(X, [d * e]),
                      constant_sheaf(X, [e]))
@@ -255,13 +260,15 @@ def cmd_baer(args):
 
 def cmd_localize(args):
     C = _load_kind(args.category, "category")
-    L = localize(C, set(args.sigma.split(",")))
+    sigma = {_known(C.arrows, a, "arrow") for a in args.sigma.split(",")}
+    L = localize(C, sigma)
     return 0, hom_table(L)
 
 
 def cmd_ore(args):
     C = _load_kind(args.category, "category")
-    sigma = normalize_arrow_class(C, set(args.sigma.split(",")))
+    sigma = normalize_arrow_class(C, {_known(C.arrows, a, "arrow")
+                                      for a in args.sigma.split(",")})
     v = check_ore(C, sigma)
     lines = ["sigma closure: {%s}" % ", ".join(sorted(sigma.members)),
              "right Ore conditions: %s" % ("pass" if v.ok else "fail")]
@@ -270,7 +277,7 @@ def cmd_ore(args):
 
 
 def cmd_mtt(args):
-    with open(args.file) as fh:
+    with open(args.file, encoding="utf-8") as fh:
         rows = [(i + 1, line.strip()) for i, line in enumerate(fh)
                 if line.strip() and not line.strip().startswith("#")]
     lines, code = [], 0
@@ -301,14 +308,13 @@ def cmd_catalog(args):
     if args.action == "list":
         return 0, catalog.list()
     if args.name is None:
-        raise catalog.InvalidEntry("catalog %s needs an entry name"
-                                   % args.action)
+        raise InputError("catalog %s needs an entry name" % args.action)
     if args.action == "show":
         e = catalog.load(args.name)
         return 0, ["name: %s" % e.name, "kind: %s" % e.kind,
                    "note: %s" % e.note]
     if args.path is None:
-        raise catalog.InvalidEntry("catalog dump needs a destination path")
+        raise InputError("catalog dump needs a destination path")
     catalog.dump(args.name, args.path)
     return 0, ["wrote %s" % args.path]
 
@@ -404,32 +410,22 @@ def build_parser():
     return top
 
 
-def _emit(fmt, code, lines, out):
-    if fmt == "json":
-        out.write(json.dumps({"exit": code, "lines": lines},
-                             sort_keys=True, indent=2) + "\n")
-    else:
-        for line in lines:
-            out.write(line + "\n")
-
-
 def main(argv=None, out=None):
     out = out or sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         code, lines = args.func(args)
-    except (ResourceCap, ResourceExceeded) as exc:
-        _emit(args.format, 3, ["resource cap exceeded: %s" % exc], out)
-        return 3
-    except (json.JSONDecodeError, ParseError, OSError,
-            catalog.UnknownEntry, catalog.InvalidEntry) as exc:
-        _emit(args.format, 2, ["input error: %s" % exc], out)
-        return 2
-    except (ValueError, AssertionError) as exc:
-        _emit(args.format, 1, ["failure: %s" % exc], out)
-        return 1
-    _emit(args.format, code, lines, out)
+    except GroundworkError as exc:
+        code, lines = exc.exit_code, ["%s: %s" % (exc.label, exc)]
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        code, lines = 2, ["input error: %s" % exc]
+    if args.format == "json":
+        out.write(json.dumps({"exit": code, "lines": lines},
+                             sort_keys=True, indent=2) + "\n")
+    else:
+        for line in lines:
+            out.write(line + "\n")
     return code
 
 

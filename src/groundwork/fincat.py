@@ -10,17 +10,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
-
-class InvalidCategory(ValueError):
-    """Raised by validate_category; .errors lists every violation found."""
-
-    def __init__(self, errors):
-        self.errors = tuple(errors)
-        super().__init__("; ".join(_format_error(e) for e in self.errors))
+from . import ErrorList, Failure
 
 
-def _format_error(e):
-    return "%s%r" % (e[0], e[1:])
+class InvalidCategory(ErrorList):
+    """Raised by validate_category."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +232,7 @@ def assignments(choices, checks=()):
 # -- functors --------------------------------------------------------------
 
 
-class InvalidFunctor(ValueError):
+class InvalidFunctor(Failure):
     pass
 
 
@@ -337,7 +331,7 @@ def enumerate_functors(C: FinCategory, D: FinCategory):
 # -- natural transformations ----------------------------------------------
 
 
-class InvalidNatTrans(ValueError):
+class InvalidNatTrans(Failure):
     pass
 
 

@@ -20,11 +20,12 @@ import math
 from dataclasses import dataclass, field
 from operator import mul
 
+from . import Failure
 from .intmat import IntMatrix, hnf, kernel, lattices_equal, snf
 from .intmat import solve_many as int_solve
 
 
-class IllDefinedMorphism(ValueError):
+class IllDefinedMorphism(Failure):
     pass
 
 

@@ -11,15 +11,16 @@ representatives so hom tables are deterministic.
 """
 from dataclasses import dataclass
 
+from . import Failure
 from .fincat import (FinCategory, FinFunctor, compose_functors,
                      enumerate_functors, validate_category)
 
 
-class OreFailure(ValueError):
+class OreFailure(Failure):
     pass
 
 
-class RoofError(ValueError):
+class RoofError(Failure):
     pass
 
 

@@ -217,16 +217,6 @@ def hnf(A: IntMatrix) -> IntMatrix:
     return IntMatrix.from_cols(cols[:rank], rows=A.rows)
 
 
-def hnf_with_transform(A: IntMatrix):
-    """Returns (H, V, rank) with A·V column-echelon, H = nonzero part."""
-    cols = A.columns()
-    companion = _identity_rows(A.cols)
-    _, rank = _hnf_cols(cols, A.rows, companion)
-    H = IntMatrix.from_cols(cols[:rank], rows=A.rows)
-    V = IntMatrix.from_cols(companion, rows=A.cols)
-    return H, V, rank
-
-
 def kernel(A: IntMatrix) -> IntMatrix:
     """Basis (columns, HNF-canonical) of the integer kernel of A."""
     cols = A.columns()
@@ -387,11 +377,6 @@ def solve_hnf(H: IntMatrix, b):
     return None if any(rest) else x
 
 
-def lattice_contains(L: IntMatrix, v) -> bool:
-    """Is integer vector v in the column lattice of L?"""
-    return solve(L, v) is not None
-
-
 def lattices_equal(A: IntMatrix, B: IntMatrix) -> bool:
     return hnf(A).entries == hnf(B).entries
 
@@ -419,16 +404,3 @@ def det(A: IntMatrix) -> int:
             M[i][k] = 0
         prev = M[k][k]
     return sign * M[n - 1][n - 1]
-
-
-def is_unimodular(A: IntMatrix) -> bool:
-    return A.rows == A.cols and abs(det(A)) == 1
-
-
-def inverse_unimodular(A: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular integer matrix: V·U from its SNF, where
-    D = U·A·V is the identity."""
-    D, U, V, _ = snf(A)
-    if D.entries != IntMatrix.identity(A.cols).entries:
-        raise ValueError("matrix is not unimodular")
-    return V.mul(U)

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
+from . import Failure
 from .fpgroup import FpAbGroup, fp_from_presentation
 from .intmat import IntMatrix, hnf
 from .intmat import kernel as int_kernel
@@ -31,7 +32,7 @@ from .ratmat import (combine, kernel_basis, mat_vec, reduce_mod_span, rref,
                      solve)
 
 
-class ContainmentError(ValueError):
+class ContainmentError(Failure):
     """Denominator not contained in numerator (or map not well defined)."""
 
 

@@ -49,6 +49,7 @@ import itertools
 from dataclasses import dataclass
 from operator import mul
 
+from . import Failure, ResourceCap
 from .fpgroup import (FpAbGroup, FpMorphism, fp_cohomology_at, fp_cokernel,
                       fp_direct_sum, fp_exact_at, fp_factor_through, fp_free,
                       fp_from_factors, fp_from_presentation, fp_hom_group,
@@ -56,15 +57,11 @@ from .fpgroup import (FpAbGroup, FpMorphism, fp_cohomology_at, fp_cokernel,
 from .intmat import IntMatrix, det, hnf, solve_many
 
 
-class InvalidRing(ValueError):
+class InvalidRing(Failure):
     pass
 
 
-class InvalidModule(ValueError):
-    pass
-
-
-class ResourceCap(RuntimeError):
+class InvalidModule(Failure):
     pass
 
 
@@ -92,10 +89,15 @@ class FiniteRing:
         return self.additive.zero()
 
 
-def validate_ring(name, additive: FpAbGroup, mul, one) -> FiniteRing:
+def _finite(additive: FpAbGroup, invalid) -> FpAbGroup:
+    """`additive`, checked finite before any of its elements is listed."""
     if not additive.is_finite():
-        raise InvalidRing("additive group must be finite")
-    elems = additive.elements()
+        raise invalid("additive group must be finite")
+    return additive
+
+
+def validate_ring(name, additive: FpAbGroup, mul, one) -> FiniteRing:
+    elems = _finite(additive, InvalidRing).elements()
     eset = set(elems)
     for a in elems:
         for b in elems:
@@ -193,9 +195,7 @@ def validate_module(ring: FiniteRing, additive: FpAbGroup,
     of the additive group, in this order: A_i is well defined, d_i·A_i is
     zero, Σ one_i·A_i agrees with the identity, and Σ (rs)_i·A_i agrees
     with A_r∘A_s for generators r, s."""
-    if not additive.is_finite():
-        raise InvalidModule("additive group must be finite")
-    M = FiniteModule(ring, additive, tuple(action))
+    M = FiniteModule(ring, _finite(additive, InvalidModule), tuple(action))
     rgens = ring.generators()
     if len(M.action) != len(rgens):
         raise InvalidModule("need one action per additive generator of %s"

@@ -52,19 +52,21 @@ import itertools
 import re
 from dataclasses import dataclass, field, replace
 
+from . import Failure, InputError
+
 SET, CLASS, COLLECTION = "Set", "Class", "Collection"
 _LEVEL = {SET: 0, CLASS: 1, COLLECTION: 2}
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     pass
 
 
-class SortError(ValueError):
+class SortError(Failure):
     pass
 
 
-class AbstractError(ValueError):
+class AbstractError(Failure):
     pass
 
 

@@ -10,17 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import ErrorList, Failure
 from .fincat import FinCategory, FinFunctor, assignments, validate_category
 
 
-class InvalidPresheaf(ValueError):
-    def __init__(self, errors):
-        self.errors = tuple(errors)
-        super().__init__("; ".join("%s%r" % (e[0], e[1:])
-                                   for e in self.errors))
+class InvalidPresheaf(ErrorList):
+    pass
 
 
-class InvalidPresheafMap(ValueError):
+class InvalidPresheafMap(Failure):
     pass
 
 

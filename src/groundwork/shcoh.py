@@ -25,6 +25,7 @@ import itertools
 from dataclasses import dataclass
 from math import lcm
 
+from . import Failure
 from .fpgroup import (FpAbGroup, FpMorphism, fp_direct_sum, fp_from_factors,
                       fp_cokernel, fp_cohomology_at, fp_factor_through,
                       fp_kernel, fp_preimages, fp_zero_morphism, fp_exact_at,
@@ -35,11 +36,11 @@ from .latpair import (LatticePairGroup, SpanLattice, latpair_kernel_image,
 from .site import FiniteSpace
 
 
-class SheafError(ValueError):
+class SheafError(Failure):
     pass
 
 
-class NotACover(ValueError):
+class NotACover(Failure):
     pass
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import ErrorList, Failure, ResourceCap
 from .fincat import FinCategory, FinFunctor, assignments, poset_category
 from .presheaf import (Presheaf, PresheafMap, _equations, counit_star,
                        enumerate_presheaf_maps, u_star, unit_star,
@@ -23,18 +24,15 @@ from .presheaf import (Presheaf, PresheafMap, _equations, counit_star,
 SIEVE_CAP = 1 << 16
 
 
-class InvalidSieve(ValueError):
+class InvalidSieve(Failure):
     pass
 
 
-class InvalidTopology(ValueError):
-    def __init__(self, errors):
-        self.errors = tuple(errors)
-        super().__init__("; ".join("%s%r" % (e[0], e[1:])
-                                   for e in self.errors))
+class InvalidTopology(ErrorList):
+    pass
 
 
-class ResourceExceeded(RuntimeError):
+class ResourceExceeded(ResourceCap):
     pass
 
 
@@ -283,7 +281,7 @@ def sheafify_universal_check(F: Presheaf, J: GrothendieckTopology,
 # -- finite topological spaces ----------------------------------------------
 
 
-class InvalidSpace(ValueError):
+class InvalidSpace(Failure):
     pass
 
 
@@ -451,7 +449,7 @@ def is_sheaf_on_space(F: Presheaf, X: FiniteSpace):
 # -- comparison lemma hypothesis checks ---------------------------------------
 
 
-class HypothesisFailure(ValueError):
+class HypothesisFailure(Failure):
     def __init__(self, clause, detail=None):
         self.clause = clause
         self.detail = detail

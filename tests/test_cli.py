@@ -11,14 +11,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groundwork import catalog
+from groundwork import catalog, cli
 from groundwork.cli import main
+from groundwork.frac import OreFailure, normalize_arrow_class
 
 
 def run(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+def run_both(*argv):
+    """`run`, after checking that the `--format json` report says the
+    same."""
+    code, text = run(*argv)
+    code_j, blob = run("--format", "json", *argv)
+    assert (code_j, json.loads(blob)) == \
+        (code, {"exit": code, "lines": text.splitlines()})
+    return code, text
 
 
 # every README command that needs no input file, with its documented exit
@@ -525,6 +536,104 @@ def test_directory_path_is_an_input_error(tmp_path, argv):
     code, out = run(*[a.format(dir=tmp_path) for a in argv])
     assert code == 2
     assert out.startswith("input error: [Errno 21] Is a directory")
+
+
+# -- the exit code is the kind of the package's exception ---------------------
+
+
+UNKNOWN_NAMES = [
+    (["localize", "--category", "walking-arrow", "--sigma", "zz"],
+     "unknown arrow 'zz'"),
+    (["ore", "--category", "walking-arrow", "--sigma", "zz"],
+     "unknown arrow 'zz'"),
+    (["ore", "--category", "walking-arrow", "--sigma", "a,zz"],
+     "unknown arrow 'zz'"),
+    (["cech", "--space", "pseudo-circle", "--coef", "Z2", "--cover", "a,zz"],
+     "unknown point 'zz'"),
+    (["cech", "--space", "pseudo-circle", "--coef", "Z2",
+      "--cover", "a,b,c", "--cover", "zz"], "unknown point 'zz'"),
+    (["catalog", "show", "zz"], "unknown catalog entry 'zz'"),
+    (["ext", "--ring", "Z4", "--module", "zz", "--against", "Z2"],
+     "unknown catalog entry 'zz'"),
+]
+
+
+@pytest.mark.parametrize("argv,message", UNKNOWN_NAMES,
+                         ids=[" ".join(a) for a, _ in UNKNOWN_NAMES])
+def test_unknown_name_is_an_input_error(argv, message):
+    assert run_both(*argv) == (2, "input error: %s\n" % message)
+
+
+def test_unknown_arrow_is_still_an_ore_failure_for_library_callers():
+    with pytest.raises(OreFailure, match="unknown arrow 'zz'"):
+        normalize_arrow_class(catalog.load("walking-arrow").value, {"zz"})
+
+
+@pytest.mark.parametrize("cover,message", [
+    ("c", "['c'] is not open"),
+    ("a,b", "the given opens do not cover the space"),
+])
+def test_cover_of_known_points_that_fails_exits_1(cover, message):
+    assert run_both("cech", "--space", "pseudo-circle", "--coef", "Z2",
+                    "--cover", cover) == (1, "failure: %s\n" % message)
+
+
+def test_resource_cap_message_pinned(monkeypatch):
+    monkeypatch.setenv("GW_ELEMENT_CAP", "100")
+    assert run_both("resolve", "--ring", "Z4", "--module", "regular") == \
+        (3, "resource cap exceeded: coinduced module would exceed 100 "
+         "elements\n")
+
+
+@pytest.mark.parametrize("entry", ["Z4", "Z2-over-Z4"])
+def test_validate_infinite_additive_group_exits_1(tmp_path, entry):
+    path = tmp_path / "infinite.json"
+    write_entry(path, entry,
+                lambda p: p.__setitem__("invariant_factors", [0]))
+    assert run_both("validate", str(path)) == \
+        (1, "failure: additive group must be finite\n")
+
+
+@pytest.mark.parametrize("entry,field", [
+    ("Z4", "invariant_factors"),
+    ("Z2-over-Z4", "invariant_factors"),
+    ("constant-Z3-pseudo-circle", "factors"),
+    ("skyscraper-Z4-pseudo-circle", "factors"),
+])
+def test_validate_negative_factor_exits_2(tmp_path, entry, field):
+    path = tmp_path / "negative.json"
+    write_entry(path, entry, lambda p: p.__setitem__(field, [-3]))
+    assert run_both("validate", str(path)) == \
+        (2, "input error: %s: entry -3 is not a non-negative integer\n"
+         % field)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{file}"],
+    ["mtt", "check", "{file}"],
+    ["sheafify", "--site", "square-site", "--presheaf", "{file}"],
+], ids=["validate", "mtt", "sheafify"])
+def test_file_that_is_not_utf8_is_an_input_error(tmp_path, argv):
+    path = tmp_path / "latin-1.json"
+    path.write_bytes('{"note": "caf\xe9"}'.encode("latin-1"))
+    code, out = run_both(*[a.format(file=path) for a in argv])
+    assert code == 2
+    assert out.startswith("input error: 'utf-8' codec can't decode byte "
+                          "0xe9 in position 13")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("error", [ValueError, AssertionError, RuntimeError])
+def test_internal_error_propagates_and_reports_nothing(monkeypatch, fmt,
+                                                       error):
+    def broken(*args):
+        raise error("internal")
+    monkeypatch.setattr(cli, "sheaf_cohomology", broken)
+    out = io.StringIO()
+    with pytest.raises(error, match="internal"):
+        main(["--format", fmt, "cohomology", "--space", "pseudo-circle",
+              "--coef", "Z2"], out=out)
+    assert out.getvalue() == ""
 
 
 # A mutation of a shipped payload: drop a field, give a value of another

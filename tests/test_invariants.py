@@ -2,17 +2,20 @@
 `fractions` arithmetic, the category, presheaf and site layers enumerate
 through `fincat.assignments` and not `itertools.product`, the morphism
 and module checks test whole matrices instead of mapping elements one at
-a time, only `catalog` and `cli` read or write JSON, and no module
-imports a name it never uses.  One guard imports `mttchk` instead: every
-AST node class is in its child table, which every walk over formulas
-reads."""
+a time, only `catalog` and `cli` read or write JSON, no module imports a
+name it never uses, and `cli.main` catches only the package's own
+exceptions and file errors.  Two guards import the package instead: every
+AST node class is in the child table that every walk over formulas reads,
+and every exception class is of exactly one `GroundworkError` kind."""
 import ast
 import dataclasses
+import importlib
 import pathlib
 
 import pytest
 
-from groundwork import mttchk
+from groundwork import (Failure, GroundworkError, InputError, ResourceCap,
+                        mttchk)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "groundwork"
@@ -171,3 +174,34 @@ def test_every_mttchk_node_class_is_in_the_child_table():
         assert set(children) <= set(fields), cls
         assert all(t is str for name, t in fields.items()
                    if name not in children), cls
+
+
+def test_every_exception_class_is_of_one_kind():
+    """`cli.main` reads a `GroundworkError`'s exit code from its kind, so
+    a class outside the kinds would escape as a traceback."""
+    kinds = (InputError, Failure, ResourceCap)
+    classes = set()
+    for path in PACKAGE.rglob("*.py"):
+        name = "groundwork" + ("" if path.stem == "__init__"
+                               else "." + path.stem)
+        classes |= {c for c in vars(importlib.import_module(name)).values()
+                    if isinstance(c, type) and issubclass(c, BaseException)
+                    and c.__module__ == name}
+    assert len(classes) > 20
+    for cls in classes - {GroundworkError}:
+        assert sum(issubclass(cls, k) for k in kinds) == 1, cls
+
+
+def test_cli_main_catches_only_package_and_file_errors():
+    """Any other exception is a bug and must propagate, not be reported
+    as a semantic failure or an input error."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    main = next(n for n in tree.body
+                if isinstance(n, ast.FunctionDef) and n.name == "main")
+    handlers = [n for n in ast.walk(main) if isinstance(n, ast.ExceptHandler)]
+    caught = {ast.unparse(t) for h in handlers
+              for t in (h.type.elts if isinstance(h.type, ast.Tuple)
+                        else [h.type])}
+    assert len(handlers) <= 2
+    assert caught == {"GroundworkError", "OSError", "UnicodeDecodeError",
+                      "json.JSONDecodeError"}
