@@ -58,12 +58,16 @@ def _non_negative(text):
     return value
 
 
-def _load_kind(name, kind):
+def _load_entry(name, kind):
     entry = catalog.load(name)
     if entry.kind != kind:
         raise InputError(
             "%r is a %s entry, expected %s" % (name, entry.kind, kind))
-    return entry.value
+    return entry
+
+
+def _load_kind(name, kind):
+    return _load_entry(name, kind).value
 
 
 def _coef_factors(spec):
@@ -98,10 +102,15 @@ def _known(names, name, what):
     return name
 
 
-def _resolve_presheaf(spec, cat):
-    """A catalog presheaf, or a file's presheaf payload read over `cat`."""
+def _resolve_presheaf(spec, cat, cat_name):
+    """A catalog presheaf over the category `cat` (catalog name
+    `cat_name`), or a file's presheaf payload read over `cat`."""
     if spec in catalog.list():
-        return _load_kind(spec, "presheaf")
+        entry = _load_entry(spec, "presheaf")
+        if entry.payload["over"] != cat_name:
+            raise InputError("presheaf %r is over %r, not %r"
+                             % (spec, entry.payload["over"], cat_name))
+        return entry.value
     with open(spec, encoding="utf-8") as fh:
         data = json.load(fh)
     if type(data) is dict and "payload" in data:
@@ -128,7 +137,7 @@ def cmd_validate(args):
 def cmd_yoneda_check(args):
     C = _load_kind(args.category, "category")
     _known(C.objects, args.object, "object")
-    F = (_resolve_presheaf(args.presheaf, C) if args.presheaf
+    F = (_resolve_presheaf(args.presheaf, C, args.category) if args.presheaf
          else representable(C, args.object))
     transforms = enumerate_presheaf_maps(representable(C, args.object), F)
     yoneda_bijection(F, args.object)
@@ -140,8 +149,9 @@ def cmd_yoneda_check(args):
 
 
 def cmd_sheafify(args):
-    C, J = _load_kind(args.site, "site")
-    F = _resolve_presheaf(args.presheaf, C)
+    site = _load_entry(args.site, "site")
+    C, J = site.value
+    F = _resolve_presheaf(args.presheaf, C, site.payload["over"])
     aF, i = sheafify(F, J)
     lines = ["aF(%s) has %d elements" % (o, len(aF.fiber(o)))
              for o in C.objects]
@@ -151,8 +161,9 @@ def cmd_sheafify(args):
 
 
 def cmd_is_sheaf(args):
-    C, J = _load_kind(args.site, "site")
-    F = _resolve_presheaf(args.presheaf, C)
+    site = _load_entry(args.site, "site")
+    C, J = site.value
+    F = _resolve_presheaf(args.presheaf, C, site.payload["over"])
     ok, witness = is_sheaf(F, J)
     if ok:
         return 0, ["sheaf: yes"]

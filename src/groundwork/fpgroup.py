@@ -9,9 +9,16 @@ row i of U·M is 0 modulo the i-th Smith modulus m_i (U the change to Smith
 coordinates), so well-definedness and vanishing of a morphism are each
 one such test on a whole matrix, and two morphisms agree when their
 matrices reduce to the same rows; none takes one normal form per column.
-`fp_cohomology_at`, `fp_factor_through` and `fp_preimages` are the one home
-for complexes of groups: cohomology as ker/im, maps into a kernel, and
-chosen preimages.
+
+Every other query about a morphism f: A -> B is answered in the groups'
+Smith coordinates, on the system [S | diag(B's invariant factors)] with
+S = U_B·M·U_A⁻¹ restricted to the invariant factors of A and B, so its
+size follows the groups and not their presentations: kernels, images,
+monic/epic and exactness tests compare Hermite forms there, preimages
+and factorizations solve against it, and `fp_kernel` presents the kernel
+on at most len(A.invariant_factors) generators.  `fp_cohomology_at`,
+`fp_factor_through` and `fp_preimages` are the one home for complexes of
+groups: cohomology as ker/im, maps into a kernel, and chosen preimages.
 """
 from __future__ import annotations
 
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field
 from operator import mul
 
 from . import Failure
-from .intmat import IntMatrix, hnf, kernel, lattices_equal, snf
+from .intmat import IntMatrix, hnf, kernel, snf, solve_hnf
 from .intmat import solve_many as int_solve
 
 
@@ -250,22 +257,23 @@ class FpMorphism:
 
     def image_lattice(self) -> IntMatrix:
         """Preimage in Z^{target.gens} of the image subgroup (canonical)."""
-        return hnf(self.matrix.hstack(self.target.relations))
+        return _generator_lattice(self.target,
+                                  _smith_system(self).columns())
 
     def kernel_lattice(self) -> IntMatrix:
         """Lattice {x in Z^{source.gens} : f(x) = 0}, canonical HNF."""
-        big = kernel(self.matrix.hstack(self.target.relations))
-        cols = [c[:self.source.gens] for c in big.columns()]
-        cols.extend(self.source.relations.columns())
-        return hnf(IntMatrix.from_cols(cols, rows=self.source.gens))
+        return _generator_lattice(self.source, _smith_kernel(self))
 
     def is_monic(self) -> bool:
-        return lattices_equal(self.kernel_lattice(),
-                              self.source.relations)
+        """The kernel lattice contains diag(source invariant factors), so f
+        is monic when each of its generators lies in that diagonal."""
+        mods = self.source.invariant_factors
+        return not any(x % m if m else x for c in _smith_kernel(self)
+                       for x, m in zip(c, mods))
 
     def is_epic(self) -> bool:
-        return lattices_equal(self.image_lattice(),
-                              IntMatrix.identity(self.target.gens))
+        return hnf(_smith_system(self)).entries == \
+            IntMatrix.identity(len(self.target.invariant_factors)).entries
 
 
 def _smith_rows(G: FpAbGroup, cols):
@@ -281,6 +289,45 @@ def _smith_rows(G: FpAbGroup, cols):
             yield ([y % m for y in row] if m else row), m
 
 
+def _smith_system(f: FpMorphism) -> IntMatrix:
+    """[S | diag(m)] for f: A -> B, the system that kernels, images,
+    preimages and factorizations through f are read from.
+
+    S = U_B·M·U_A⁻¹ restricted to the Smith coordinates with modulus != 1
+    of A (columns) and B (rows), row i reduced mod B's m_i; one column
+    m_i·e_i follows for each nonzero m_i.  Its columns span the image of f
+    in B's canonical coordinates, and a canonical vector y of A maps to
+    zero exactly when (y, z) is in its kernel for some z."""
+    A, B = f.source, f.target
+    finite = len(B.invariant_factors) - B.free_rank()   # zeros come last
+    # f applied to A's canonical generators: the columns of U_A⁻¹ at m != 1
+    cols = [f.matrix.mul_vec(c) for c, m in
+            zip(zip(*A._from_smith.entries), A._moduli) if m != 1]
+    rows = []
+    for i, (row, m) in enumerate(_smith_rows(B, cols)):
+        tail = [0] * finite
+        if m:
+            tail[i] = m
+        rows.append(tuple(row + tail))
+    return IntMatrix(len(rows), len(cols) + finite, tuple(rows))
+
+
+def _smith_kernel(f: FpMorphism) -> list:
+    """Generators of the lattice of canonical vectors of f.source that f
+    (well defined) sends to zero; it contains diag(invariant factors)."""
+    k = len(f.source.invariant_factors)
+    return [c[:k] for c in kernel(_smith_system(f)).columns()]
+
+
+def _generator_lattice(G: FpAbGroup, cols) -> IntMatrix:
+    """Canonical HNF of the generator coordinates x of G whose canonical
+    coordinates lie in the lattice spanned by cols: the lifts of cols plus
+    the columns of U⁻¹ at the Smith coordinates with m_i = 1."""
+    units = [c for c, m in zip(G._from_smith.columns(), G._moduli) if m == 1]
+    return hnf(IntMatrix.from_cols(
+        [G.lift(c) for c in cols] + units, rows=G.gens))
+
+
 def fp_identity(G: FpAbGroup) -> FpMorphism:
     return FpMorphism(G, G, IntMatrix.identity(G.gens))
 
@@ -291,18 +338,21 @@ def fp_zero_morphism(A: FpAbGroup, B: FpAbGroup) -> FpMorphism:
 
 def fp_kernel(f: FpMorphism):
     """Kernel of f with its inclusion: returns (ker, incl), where
-    incl: ker -> f.source is the witness morphism."""
+    incl: ker -> f.source is the witness morphism.  ker is presented on the
+    HNF basis of its canonical-coordinate lattice, so it has at most
+    len(f.source.invariant_factors) generators."""
     f.check()
-    K = f.kernel_lattice()
-    ker_gens = K.cols
-    # relations of the kernel: source relations written in the K-basis
-    rel_cols = int_solve(K, f.source.relations.columns())
+    A = f.source
+    K = hnf(IntMatrix.from_cols(_smith_kernel(f),
+                                rows=len(A.invariant_factors)))
+    rel_cols = [solve_hnf(K, [m if j == i else 0 for j in range(K.rows)])
+                for i, m in enumerate(A.invariant_factors) if m]
     if None in rel_cols:
         raise RuntimeError("relation lattice not inside kernel lattice")
     ker = fp_from_presentation(
-        ker_gens, IntMatrix.from_cols(rel_cols, rows=ker_gens)
-        if rel_cols else IntMatrix.zeros(ker_gens, 0))
-    return ker, FpMorphism(ker, f.source, K)
+        K.cols, IntMatrix.from_cols(rel_cols, rows=K.cols))
+    return ker, FpMorphism(ker, A, IntMatrix.from_cols(
+        [A.lift(h) for h in K.columns()], rows=A.gens))
 
 
 def fp_cokernel(f: FpMorphism):
@@ -317,26 +367,28 @@ def fp_cokernel(f: FpMorphism):
 
 def fp_exact_at(f: FpMorphism, g: FpMorphism) -> bool:
     """Is im(f) = ker(g) inside f.target (= g.source)?"""
-    return lattices_equal(f.image_lattice(), g.kernel_lattice())
+    return hnf(_smith_system(f)).entries == hnf(IntMatrix.from_cols(
+        _smith_kernel(g), rows=len(g.source.invariant_factors))).entries
 
 
 def fp_preimages(f: FpMorphism, ys):
     """One x with f(x) = y (deterministic), or None, for each y in ys."""
-    sols = int_solve(f.matrix.hstack(f.target.relations),
-                     [f.target.lift(y) for y in ys])
+    mods = f.source.invariant_factors
     return [None if sol is None else
-            f.source.normal_form(sol[:f.source.gens]) for sol in sols]
+            tuple(x % m if m else x for x, m in zip(sol, mods))
+            for sol in int_solve(_smith_system(f), ys)]
 
 
 def fp_factor_through(incl: FpMorphism, g: FpMorphism) -> FpMorphism:
     """h with incl ∘ h = g; every caller guarantees im(g) ⊆ im(incl)."""
-    sols = int_solve(incl.matrix.hstack(incl.target.relations),
-                     g.matrix.columns())
+    K = incl.source
+    k = len(K.invariant_factors)
+    sols = int_solve(_smith_system(incl), [incl.target.normal_form(c)
+                                           for c in g.matrix.columns()])
     if None in sols:
         raise RuntimeError("map does not factor through the subgroup")
-    return FpMorphism(g.source, incl.source, IntMatrix.from_cols(
-        [sol[:incl.source.gens] for sol in sols],
-        rows=incl.source.gens)).check()
+    return FpMorphism(g.source, K, IntMatrix.from_cols(
+        [K.lift(sol[:k]) for sol in sols], rows=K.gens)).check()
 
 
 def fp_cohomology_at(d_prev, d: FpMorphism):

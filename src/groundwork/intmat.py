@@ -2,12 +2,12 @@
 
 All arithmetic is arbitrary-precision; no floats anywhere.  Matrices are
 immutable and row-major.  The column-style Hermite normal form (nonnegative
-pivots, entries left of a pivot reduced modulo it) is the canonical form used
-for lattice equality throughout the package.  `snf` is the one elimination:
-it returns D = U·A·V together with U⁻¹, tracked during elimination, and
-`solve_many` is the factor-once path that solves every right-hand side
-against one SNF of A.  `solve_hnf` solves against a matrix already in
-Hermite form by substitution.
+pivots, entries left of a pivot reduced modulo it) is canonical: two column
+lattices are equal exactly when their `hnf` results are.  `snf` is the one
+elimination: it returns D = U·A·V together with U⁻¹, tracked during
+elimination, and `solve_many` is the factor-once path that solves every
+right-hand side against one SNF of A.  `solve_hnf` solves against a matrix
+already in Hermite form by substitution.
 """
 from __future__ import annotations
 
@@ -375,10 +375,6 @@ def solve_hnf(H: IntMatrix, b):
             rest = [y - q * v for y, v in zip(rest, col)]
         x.append(q)
     return None if any(rest) else x
-
-
-def lattices_equal(A: IntMatrix, B: IntMatrix) -> bool:
-    return hnf(A).entries == hnf(B).entries
 
 
 def det(A: IntMatrix) -> int:

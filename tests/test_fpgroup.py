@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groundwork.intmat import IntMatrix, hnf
+from groundwork.intmat import IntMatrix, hnf, kernel, solve_many
 from groundwork.fpgroup import (FpMorphism, IllDefinedMorphism, fp_cyclic,
-                                fp_direct_sum, fp_exact_at, fp_free,
-                                fp_from_factors, fp_from_presentation,
-                                fp_cokernel, fp_hom_group, fp_identity,
-                                fp_kernel, fp_trivial, fp_zero_morphism)
+                                fp_direct_sum, fp_exact_at, fp_factor_through,
+                                fp_free, fp_from_factors,
+                                fp_from_presentation, fp_cokernel,
+                                fp_hom_group, fp_identity, fp_kernel,
+                                fp_preimages, fp_trivial, fp_zero_morphism)
 
 
 def brute_hom_count(A, B):
@@ -461,4 +462,181 @@ def test_reference_cases_cover_both_answers():
 
     record()
     assert seen == {(k, v) for k in ("well", "zero", "agree")
+                    for v in (True, False)}
+
+
+# -- queries in Smith coordinates against the [M | R_target] references -----
+
+
+SMITH = settings(max_examples=200, deadline=None, derandomize=True,
+                 database=None)
+
+
+def ref_image_lattice(f):
+    return hnf(f.matrix.hstack(f.target.relations))
+
+
+def ref_kernel_lattice(f):
+    big = kernel(f.matrix.hstack(f.target.relations))
+    cols = [c[:f.source.gens] for c in big.columns()]
+    cols.extend(f.source.relations.columns())
+    return hnf(IntMatrix.from_cols(cols, rows=f.source.gens))
+
+
+def ref_is_monic(f):
+    return ref_kernel_lattice(f).entries == hnf(f.source.relations).entries
+
+
+def ref_is_epic(f):
+    return ref_image_lattice(f).entries == \
+        IntMatrix.identity(f.target.gens).entries
+
+
+def ref_exact_at(f, g):
+    return ref_image_lattice(f).entries == ref_kernel_lattice(g).entries
+
+
+def ref_preimages(f, ys):
+    sols = solve_many(f.matrix.hstack(f.target.relations),
+                      [f.target.lift(y) for y in ys])
+    return [None if sol is None else
+            f.source.normal_form(sol[:f.source.gens]) for sol in sols]
+
+
+def ref_factor_through(incl, g):
+    sols = solve_many(incl.matrix.hstack(incl.target.relations),
+                      g.matrix.columns())
+    if None in sols:
+        raise RuntimeError("map does not factor through the subgroup")
+    return FpMorphism(g.source, incl.source, IntMatrix.from_cols(
+        [sol[:incl.source.gens] for sol in sols],
+        rows=incl.source.gens)).check()
+
+
+@st.composite
+def wide_groups(draw):
+    """Cokernels of maps Z^r -> Z^n, n <= 5, r in n-1..n+1: presentations
+    wider than their groups, whose Smith moduli are mostly 1."""
+    gens = draw(st.integers(2, 5))
+    return fp_from_presentation(
+        gens, draw(matrices(gens, draw(st.integers(gens - 1, gens + 1)),
+                            -3, 3)))
+
+
+def any_groups():
+    return st.one_of(groups(), wide_groups())
+
+
+def elements(draw, G):
+    return tuple(draw(st.integers(0, d - 1)) if d else
+                 draw(st.integers(-4, 4)) for d in G.invariant_factors)
+
+
+@st.composite
+def well_defined(draw, A=None, B=None):
+    """A well-defined map A -> B with a random matrix M.  Without B, B is
+    a random group whose relations gain the columns of M·Rel(A).  Given
+    B, A's relations are random combinations of the vectors that M sends
+    into B's relations."""
+    if B is None:
+        A = draw(any_groups()) if A is None else A
+        T = draw(any_groups())
+        M = draw(matrices(T.gens, A.gens))
+        B = fp_from_presentation(
+            T.gens, T.relations.hstack(M.mul(A.relations)))
+        return FpMorphism(A, B, M)
+    gens = draw(st.integers(0, 3))
+    M = draw(matrices(B.gens, gens))
+    dying = [c[:gens] for c in
+             kernel(M.hstack(B.relations)).columns()]
+    X = draw(matrices(len(dying), draw(st.integers(0, 3)), -2, 2))
+    rels = IntMatrix.from_cols(dying, rows=gens).mul(X)
+    return FpMorphism(fp_from_presentation(gens, rels), B, M)
+
+
+@st.composite
+def composable(draw):
+    """(f, g) with f.target = g.source: independent maps, or one of them
+    the kernel inclusion or cokernel projection of the other."""
+    f = draw(well_defined())
+    kind = draw(st.sampled_from(["free", "kernel", "cokernel"]))
+    if kind == "kernel":
+        return fp_kernel(f)[1], f
+    if kind == "cokernel":
+        return f, fp_cokernel(f)[1]
+    return f, draw(well_defined(A=f.target))
+
+
+@SMITH
+@given(well_defined())
+def test_lattices_and_monic_epic_match_reference(f):
+    assert f.kernel_lattice() == ref_kernel_lattice(f)
+    assert f.image_lattice() == ref_image_lattice(f)
+    assert f.is_monic() == ref_is_monic(f)
+    assert f.is_epic() == ref_is_epic(f)
+
+
+@SMITH
+@given(composable())
+def test_exact_at_matches_reference(fg):
+    f, g = fg
+    assert fp_exact_at(f, g) == ref_exact_at(f, g)
+
+
+@SMITH
+@given(well_defined())
+def test_kernel_is_presented_on_at_most_the_invariant_factor_count(f):
+    ker, incl = fp_kernel(f)
+    assert ker.gens <= len(f.source.invariant_factors)
+    assert incl.source is ker and incl.target is f.source
+    assert incl.is_well_defined() and ref_is_monic(incl)
+    assert ref_image_lattice(incl) == ref_kernel_lattice(f)
+
+
+@SMITH
+@given(st.data())
+def test_preimages_match_reference(data):
+    f = data.draw(well_defined())
+    ys = [f.apply(elements(data.draw, f.source))
+          if data.draw(st.booleans()) else elements(data.draw, f.target)
+          for _ in range(data.draw(st.integers(0, 6)))]
+    got = fp_preimages(f, ys)
+    assert [x is None for x in got] == \
+        [x is None for x in ref_preimages(f, ys)]
+    for x, y in zip(got, ys):
+        assert x is None or (f.apply(x) == y and
+                             x == f.source.normal_form(f.source.lift(x)))
+
+
+@SMITH
+@given(st.data())
+def test_factor_through_matches_reference(data):
+    incl = fp_kernel(data.draw(well_defined()))[1]
+    h = data.draw(well_defined(B=incl.source))
+    g = incl.compose(h)
+    got = fp_factor_through(incl, g)
+    assert got.source is g.source and got.target is incl.source
+    assert got.agrees_with(h)
+    assert got.agrees_with(ref_factor_through(incl, g))
+
+
+def test_smith_references_cover_both_answers():
+    """The strategies above reach True and False for every query, wide
+    presentations with unit moduli, and unreachable preimages."""
+    seen = set()
+
+    @SMITH
+    @given(composable(), st.data())
+    def record(fg, data):
+        f, g = fg
+        seen.add(("monic", ref_is_monic(f)))
+        seen.add(("epic", ref_is_epic(f)))
+        seen.add(("exact", ref_exact_at(f, g)))
+        seen.add(("unit moduli", 1 in f.source._moduli))
+        seen.add(("preimage", ref_preimages(
+            f, [elements(data.draw, f.target)])[0] is None))
+
+    record()
+    assert seen == {(k, v) for k in ("monic", "epic", "exact",
+                                     "unit moduli", "preimage")
                     for v in (True, False)}

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from groundwork.intmat import (IntMatrix, det, hnf, kernel, lattices_equal,
-                               snf, solve, solve_hnf, solve_many)
+from groundwork.intmat import (IntMatrix, det, hnf, kernel, snf, solve,
+                               solve_hnf, solve_many)
 
 
 def check_snf(A):
@@ -72,7 +72,6 @@ def test_hnf_canonical_under_column_ops():
                 cols[i] = [x + q * y for x, y in zip(cols[i], cols[j])]
         B = IntMatrix.from_cols(cols, rows=m)
         assert hnf(A).entries == hnf(B).entries
-        assert lattices_equal(A, B)
 
 
 def test_kernel():
