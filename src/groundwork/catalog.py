@@ -2,11 +2,11 @@
 
 Entries live as JSON data files under ``groundwork/catalog/`` so that
 alternate-language ports can share them byte for byte.  Each file is an
-envelope ``{"name", "kind", "note", "payload"}``.  This module alone knows
-the payload schema: the table `SCHEMA` gives each kind's fields and their
-shapes, `build` checks a payload against it (an `InvalidEntry` names the
-field and the entry) before the owning module's validator runs, and the
-``*_to_payload`` writers produce what ``tools/make_catalog.py`` stores."""
+envelope ``{"name", "kind", "note", "payload"}``.  This module alone
+resolves names: `SCHEMA` gives each kind's fields and shapes, `resolve`
+checks a payload or a `gw` command's options against a shape, `build`
+then runs the owning module's validator, and the ``*_to_payload``
+writers produce what ``tools/make_catalog.py`` stores."""
 import builtins
 import json
 from collections import namedtuple
@@ -114,10 +114,13 @@ SCHEMA = {
 }
 
 
-def _check(shape, payload, over=None):
-    """Walk `payload` against `shape`; return the value of each entry it
-    names, by field.  A given `over` stands in for the `over` field."""
-    names, refs = {}, {} if over is None else {"over": over}
+def resolve(shape, values, over=None, args=False):
+    """Walk `values` against `shape`; return the value of each catalog
+    entry they name, by field.  Entries named together must be over the
+    same thing (each one's `over` or `ring` field, else its own name).  A
+    given `over` stands in for the `over` field.  With `args`, `values`
+    are a `gw` command's options, and an error names the unknown name."""
+    names, refs, bases = {}, {} if over is None else {"over": over}, []
 
     def bad(field, value, want):
         return InvalidEntry("%s: entry %r is not %s"
@@ -134,15 +137,23 @@ def _check(shape, payload, over=None):
             new = type(shape) is New
             known = names.setdefault(shape.space if new else shape, set())
             if type(value) is not str or (value in known) is new:
-                raise bad(field, value, "a new name" if new
-                          else "one of the " + shape)
+                raise InvalidEntry("unknown %s %r" % (shape[:-1], value)) \
+                    if args else bad(field, value, "a new name" if new
+                                     else "one of the " + shape)
             known.add(value)
         elif type(shape) is Entry:
             if field not in refs:
-                entry = load(value) if value in list() else None
+                entry = load(value) if args or value in list() else None
                 if entry is None or entry.kind != shape.kind:
-                    raise bad(field, value, "a %s entry" % shape.kind)
+                    raise InvalidEntry("%r is a %s entry, expected %s" % (
+                        value, entry.kind, shape.kind)) if args else \
+                        bad(field, value, "a %s entry" % shape.kind)
                 refs[field] = entry.value
+                bases.append(entry.payload.get(
+                    "over", entry.payload.get("ring", value)))
+                if bases[-1] != bases[0]:
+                    raise InvalidEntry("%s %r is over %r, not %r" % (
+                        shape.kind, value, bases[-1], bases[0]))
             names.update((space, set(getattr(refs[field], space)))
                          for space in ("objects", "arrows", "points")
                          if hasattr(refs[field], space))
@@ -173,17 +184,18 @@ def _check(shape, payload, over=None):
                     raise InvalidEntry("%s: missing field" % path)
                 walk(s, value.get(f), path)
 
-    walk(shape, payload, "")
+    walk(shape, values, "")
     return refs
 
 
-def build(kind, payload, over=None):
-    """Check `payload` against `SCHEMA[kind]`, then build its value with
-    the owning module's validator.  A category `over` stands in for the
-    payload's own `over` field (a presheaf file read over a site)."""
+def build(kind, payload, over=None, args=False):
+    """Check `payload` against `SCHEMA[kind]` by `resolve`, then build its
+    value with the owning module's validator.  A category `over` stands
+    in for the payload's own `over` field (a presheaf file read over a
+    site); `args` is as in `resolve`."""
     if type(kind) is not str or kind not in SCHEMA:
         raise InvalidEntry("unknown entry kind %r" % (kind,))
-    return _BUILDERS[kind](payload, _check(SCHEMA[kind], payload, over))
+    return _BUILDERS[kind](payload, resolve(SCHEMA[kind], payload, over, args))
 
 
 # -- payload builders (one per kind; each runs the owner's validator) ---------

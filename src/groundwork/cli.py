@@ -1,15 +1,17 @@
 """Command-line entry point (`gw`) orchestrating the workbench modules.
 
 Batch reports only; identical invocations produce byte-identical output.
-Exit codes: 0 success, 1 semantic failure (with witnesses), 2 input or
-schema error, 3 resource cap exceeded.  Codes 1-3 come from the kind of
-the package's `GroundworkError`; an unreadable or non-UTF-8 file and
-malformed JSON are input errors too.  Any other exception is a bug and
-propagates as a traceback, with nothing reported.  `--format json` emits
-the same content as the text report, machine-readable.  The element cap
-for resolution-style computations defaults to 10^6 and can be overridden
-with the GW_ELEMENT_CAP environment variable, which must be a positive
-integer (anything else is an input error).
+`catalog.resolve` checks every name an option gives (catalog entries,
+objects, arrows, points); this module only parses specs, comma lists and
+`--presheaf` files.  Exit codes: 0 success, 1 semantic failure (with
+witnesses), 2 input or schema error, 3 resource cap exceeded.  Codes 1-3
+come from the kind of the package's `GroundworkError`; an unreadable or
+non-UTF-8 file and malformed JSON are input errors too.  Any other
+exception is a bug and propagates as a traceback, with nothing reported.
+`--format json` emits the same content as the text report.  The element
+cap for resolution-style computations defaults to 10^6 and can be
+overridden with the GW_ELEMENT_CAP environment variable, which must be a
+positive integer (anything else is an input error).
 """
 import argparse
 import json
@@ -19,8 +21,9 @@ import re
 import sys
 
 from . import GroundworkError, InputError, catalog
+from .catalog import Entry
 from .fpgroup import FpMorphism, fp_cyclic, fp_zero_morphism
-from .frac import check_ore, hom_table, localize, normalize_arrow_class
+from .frac import check_ore, hom_table, localize
 from .intmat import IntMatrix
 from .modres import (DEFAULT_ELEMENT_CAP, baer_check, ext,
                      injective_resolution, regular_module, zmod_module)
@@ -58,16 +61,14 @@ def _non_negative(text):
     return value
 
 
-def _load_entry(name, kind):
-    entry = catalog.load(name)
-    if entry.kind != kind:
-        raise InputError(
-            "%r is a %s entry, expected %s" % (name, entry.kind, kind))
-    return entry
-
-
-def _load_kind(name, kind):
-    return _load_entry(name, kind).value
+def _resolve(args, **shape):
+    """The value of each catalog entry that the options in `shape` name,
+    by `catalog.resolve`.  It leaves out an option whose shape is None,
+    and a `--presheaf` that names a file (`_presheaf` reads it)."""
+    if getattr(args, "presheaf", None) not in catalog.list():
+        shape.pop("presheaf", None)
+    return catalog.resolve({o: s for o, s in shape.items() if s is not None},
+                           vars(args), args=True)
 
 
 def _coef_factors(spec):
@@ -82,35 +83,23 @@ def _coef_factors(spec):
     return factors
 
 
-def _resolve_module(ring, spec):
-    if spec == "regular":
-        return regular_module(ring)
-    m = re.fullmatch(r"Z(\d+)", spec)
-    if m:
-        return zmod_module(ring, int(m.group(1)))
-    M = _load_kind(spec, "module")
-    if M.ring.name != ring.name:
-        raise InputError(
-            "module %r is over %s, not %s" % (spec, M.ring.name, ring.name))
-    return M
+def _modules(args, *options):
+    """The module over the `--ring` entry that each of `options` gives:
+    `regular`, `Zn` (Z/n) or a catalog module over that ring."""
+    specs = {o: re.fullmatch(r"regular|Z(\d+)", getattr(args, o))
+             for o in options}
+    refs = _resolve(args, ring=Entry("ring"), **{
+        o: None if m else Entry("module") for o, m in specs.items()})
+    R = refs["ring"]
+    return [refs[o] if m is None else regular_module(R) if m[1] is None
+            else zmod_module(R, int(m[1])) for o, m in specs.items()]
 
 
-def _known(names, name, what):
-    """`name`, if it is one of `names` (objects, points or arrows)."""
-    if name not in names:
-        raise InputError("unknown %s %r" % (what, name))
-    return name
-
-
-def _resolve_presheaf(spec, cat, cat_name):
-    """A catalog presheaf over the category `cat` (catalog name
-    `cat_name`), or a file's presheaf payload read over `cat`."""
-    if spec in catalog.list():
-        entry = _load_entry(spec, "presheaf")
-        if entry.payload["over"] != cat_name:
-            raise InputError("presheaf %r is over %r, not %r"
-                             % (spec, entry.payload["over"], cat_name))
-        return entry.value
+def _presheaf(refs, spec, cat):
+    """The catalog presheaf in `refs`, or else the presheaf payload of the
+    file `spec`, read over `cat`."""
+    if "presheaf" in refs:
+        return refs["presheaf"]
     with open(spec, encoding="utf-8") as fh:
         data = json.load(fh)
     if type(data) is dict and "payload" in data:
@@ -135,9 +124,10 @@ def cmd_validate(args):
 
 
 def cmd_yoneda_check(args):
-    C = _load_kind(args.category, "category")
-    _known(C.objects, args.object, "object")
-    F = (_resolve_presheaf(args.presheaf, C, args.category) if args.presheaf
+    refs = _resolve(args, category=Entry("category"), object="objects",
+                    presheaf=Entry("presheaf"))
+    C = refs["category"]
+    F = (_presheaf(refs, args.presheaf, C) if args.presheaf
          else representable(C, args.object))
     transforms = enumerate_presheaf_maps(representable(C, args.object), F)
     yoneda_bijection(F, args.object)
@@ -149,9 +139,9 @@ def cmd_yoneda_check(args):
 
 
 def cmd_sheafify(args):
-    site = _load_entry(args.site, "site")
-    C, J = site.value
-    F = _resolve_presheaf(args.presheaf, C, site.payload["over"])
+    refs = _resolve(args, site=Entry("site"), presheaf=Entry("presheaf"))
+    C, J = refs["site"]
+    F = _presheaf(refs, args.presheaf, C)
     aF, i = sheafify(F, J)
     lines = ["aF(%s) has %d elements" % (o, len(aF.fiber(o)))
              for o in C.objects]
@@ -161,9 +151,9 @@ def cmd_sheafify(args):
 
 
 def cmd_is_sheaf(args):
-    site = _load_entry(args.site, "site")
-    C, J = site.value
-    F = _resolve_presheaf(args.presheaf, C, site.payload["over"])
+    refs = _resolve(args, site=Entry("site"), presheaf=Entry("presheaf"))
+    C, J = refs["site"]
+    F = _presheaf(refs, args.presheaf, C)
     ok, witness = is_sheaf(F, J)
     if ok:
         return 0, ["sheaf: yes"]
@@ -174,15 +164,13 @@ def cmd_is_sheaf(args):
 
 def _sheaf_from_args(args):
     if args.sheaf:
-        return _load_kind(args.sheaf, "sheaf")
+        return _resolve(args, sheaf=Entry("sheaf"))["sheaf"]
     if args.space is None or args.coef is None:
         raise InputError("give --sheaf, or --space with --coef")
-    X = _load_kind(args.space, "space")
-    factors = _coef_factors(args.coef)
-    if args.skyscraper:
-        return skyscraper_sheaf(X, _known(X.points, args.skyscraper, "point"),
-                                factors)
-    return constant_sheaf(X, factors)
+    return catalog.build("sheaf", {
+        "construction": "skyscraper" if args.skyscraper else "constant",
+        "space": args.space, "point": args.skyscraper,
+        "factors": _coef_factors(args.coef)}, args=True)
 
 
 def cmd_cohomology(args):
@@ -192,15 +180,17 @@ def cmd_cohomology(args):
 
 def cmd_cech(args):
     F = _sheaf_from_args(args)
-    cover = [frozenset(_known(F.space.points, p, "point")
-                       for p in u.split(",")) for u in args.cover]
+    cover = [u.split(",") for u in args.cover]
+    catalog.resolve({"over": Entry("space"), "cover": [["points"]]},
+                    {"cover": cover}, over=F.space, args=True)
     report = cech_cohomology(F, cover, args.max_degree)
     return 0, ["Hcech^%d = %s" % (n, line.split(" = ", 1)[1])
                for n, line in enumerate(report.lines())]
 
 
 def cmd_les(args):
-    X = _load_kind(args.space, "space")
+    X = _resolve(args, space=Entry("space"),
+                 point="points" if args.point else None)["space"]
     kind, d, e = args.kind, args.d, args.e
     if kind is not None and (d is None or e is None):
         raise InputError("--kind needs both --d and --e")
@@ -208,8 +198,7 @@ def cmd_les(args):
         rng = random.Random(args.seed)
         kind = rng.choice(["const", "sky"])
         d, e = rng.choice([(2, 2), (3, 2), (2, 3)])
-    point = (_known(X.points, args.point, "point") if args.point
-             else sorted(X.points)[0])
+    point = args.point or sorted(X.points)[0]
     if kind == "const":
         F1, F, F2 = (constant_sheaf(X, [d]), constant_sheaf(X, [d * e]),
                      constant_sheaf(X, [e]))
@@ -238,9 +227,7 @@ def cmd_les(args):
 
 
 def cmd_ext(args):
-    R = _load_kind(args.ring, "ring")
-    M = _resolve_module(R, args.module)
-    N = _resolve_module(R, args.against)
+    M, N = _modules(args, "module", "against")
     groups = ext(M, N, args.max_degree, cap=_element_cap())
     return 0, ["Ext^%d = %s : order %d"
                % (n, _iso_line(G.invariant_factors), G.order())
@@ -248,8 +235,7 @@ def cmd_ext(args):
 
 
 def cmd_resolve(args):
-    R = _load_kind(args.ring, "ring")
-    M = _resolve_module(R, args.module)
+    [M] = _modules(args, "module")
     res = injective_resolution(M, args.length, cap=_element_cap())
     res.verify()
     lines = ["I_%d has order %d" % (k, I.order())
@@ -259,8 +245,7 @@ def cmd_resolve(args):
 
 
 def cmd_baer(args):
-    R = _load_kind(args.ring, "ring")
-    M = _resolve_module(R, args.module)
+    [M] = _modules(args, "module")
     ok, witness = baer_check(M)
     if ok:
         return 0, ["injective (Baer criterion): yes"]
@@ -269,17 +254,19 @@ def cmd_baer(args):
                "witness ideal: %s" % (sorted(ideal),)]
 
 
+def _sigma(args):
+    """The `--category` entry and the arrow class `--sigma` generates."""
+    return catalog.build("sigma", {"over": args.category,
+                                   "arrows": args.sigma.split(",")},
+                         args=True)
+
+
 def cmd_localize(args):
-    C = _load_kind(args.category, "category")
-    sigma = {_known(C.arrows, a, "arrow") for a in args.sigma.split(",")}
-    L = localize(C, sigma)
-    return 0, hom_table(L)
+    return 0, hom_table(localize(*_sigma(args)))
 
 
 def cmd_ore(args):
-    C = _load_kind(args.category, "category")
-    sigma = normalize_arrow_class(C, {_known(C.arrows, a, "arrow")
-                                      for a in args.sigma.split(",")})
+    C, sigma = _sigma(args)
     v = check_ore(C, sigma)
     lines = ["sigma closure: {%s}" % ", ".join(sorted(sigma.members)),
              "right Ore conditions: %s" % ("pass" if v.ok else "fail")]

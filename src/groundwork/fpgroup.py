@@ -407,7 +407,9 @@ def fp_hom_group(A: FpAbGroup, B: FpAbGroup):
     """The group H ≅ Hom(A, B) together with element decoding.
 
     Returns (H, decode) where decode maps a canonical element of H to the
-    corresponding FpMorphism A -> B.
+    corresponding FpMorphism A -> B.  H has one generator per pair of
+    invariant factors, but its canonical coordinates are Smith
+    coordinates, so decode reads the generator coordinates `H.lift` gives.
     """
     a_factors = A.invariant_factors
     b_factors = B.invariant_factors
@@ -430,23 +432,20 @@ def fp_hom_group(A: FpAbGroup, B: FpAbGroup):
             hom_factors.append(c)
     H = fp_from_factors(hom_factors)
 
+    # Smith coordinates of A's generators
+    smith = [A.normal_form(tuple(int(t == g) for t in range(A.gens)))
+             for g in range(A.gens)]
+
     def decode(elem: tuple) -> FpMorphism:
-        if len(elem) != len(pairs):
-            raise ValueError("element length mismatch")
-        # smith-coordinate matrix for the morphism
-        M = [[0] * len(a_factors) for _ in range(len(b_factors))]
-        for k, (i, j, _c, mult) in enumerate(pairs):
-            M[j][i] += elem[k] * mult
-        # convert: generator coords -> smith coords of A, then M, then lift in B
+        coeffs = H.lift(elem)
         cols = []
-        for i in range(A.gens):
-            e = tuple(1 if t == i else 0 for t in range(A.gens))
-            sa = A.normal_form(e)
-            sb = tuple(sum(M[j][t] * sa[t] for t in range(len(sa)))
-                       for j in range(len(b_factors)))
-            sb = tuple(x % m if m else x
-                       for x, m in zip(sb, b_factors))
-            cols.append(list(B.lift(sb)))
+        for sa in smith:
+            # pair (i, j) sends Smith slot i of A to mult·slot j of B
+            sb = [0] * len(b_factors)
+            for x, (i, j, _c, mult) in zip(coeffs, pairs):
+                sb[j] += x * mult * sa[i]
+            cols.append(list(B.lift(tuple(
+                y % m if m else y for y, m in zip(sb, b_factors)))))
         mat = IntMatrix.from_cols(cols, rows=B.gens) if A.gens \
             else IntMatrix.zeros(B.gens, 0)
         return FpMorphism(A, B, mat)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import ErrorList, Failure
+from . import ErrorList, Failure, InputError
 from .fincat import FinCategory, FinFunctor, assignments, validate_category
 
 
@@ -264,7 +264,7 @@ def coproduct(family, cat=None):
     """
     if not family:
         if cat is None:
-            raise ValueError("empty family needs an explicit category")
+            raise InputError("empty family needs an explicit category")
         return empty_presheaf(cat), []
     cat = family[0].cat
     fibers = {o: tuple("%d:%s" % (i, e)
@@ -307,7 +307,7 @@ def product(F: Presheaf, G: Presheaf):
 def representable(cat: FinCategory, B) -> Presheaf:
     """R_B with R_B(A) = Hom(A, B) and action by precomposition."""
     if B not in cat.objects:
-        raise KeyError(B)
+        raise InputError("unknown object %r" % (B,))
     fibers = {A: cat.hom(A, B) for A in cat.objects}
     action = {}
     for g in cat.arrows_into[B]:

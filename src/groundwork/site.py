@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import ErrorList, Failure, ResourceCap
+from . import ErrorList, Failure, InputError, ResourceCap
 from .fincat import FinCategory, FinFunctor, assignments, poset_category
 from .presheaf import (Presheaf, PresheafMap, _equations, counit_star,
                        enumerate_presheaf_maps, u_star, unit_star,
@@ -268,7 +268,7 @@ def sheafify_universal_check(F: Presheaf, J: GrothendieckTopology,
     """Every map F -> S (S a sheaf) factors uniquely through F -> aF."""
     ok, _ = is_sheaf(S, J)
     if not ok:
-        raise ValueError("test target is not a sheaf")
+        raise InputError("test target is not a sheaf")
     aF, i = sheafify(F, J)
     for m in enumerate_presheaf_maps(F, S):
         factors = [w for w in enumerate_presheaf_maps(aF, S)
@@ -503,7 +503,7 @@ def comparison_check(u: FinFunctor, Jp: GrothendieckTopology,
     for G in test_sheaves:
         ok, _ = is_sheaf(G, Jp)
         if not ok:
-            raise ValueError("test presheaf is not a J'-sheaf")
+            raise InputError("test presheaf is not a J'-sheaf")
         restricted = u_star(u, G)
         ok_r, _ = is_sheaf(restricted, J)
         unit = unit_star(u, G)

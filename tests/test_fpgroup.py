@@ -130,6 +130,46 @@ def test_hom_count_matches_brute_force():
             assert len(seen) == H.order()
 
 
+def decoded_maps(A, B):
+    """Each element of Hom(A, B), decoded and checked well-defined, as its
+    values on A's canonical generators (one key per map)."""
+    H, decode = fp_hom_group(A, B)
+    maps = set()
+    for e in H.elements():
+        f = decode(e)
+        assert f.is_well_defined()
+        maps.add(tuple(f.apply(g) for g in A.generators()))
+    return H, decode, maps
+
+
+# A's and B's invariant factors pair off to gcds that are no divisibility
+# chain, so H's canonical coordinates are not one per pair; |H| is the
+# product of the gcds
+@pytest.mark.parametrize("a,b,order", [([2, 0], [3, 6], 36),
+                                       ([4, 0], [2, 8], 128),
+                                       ([2, 4, 8], [2, 4, 8], 2 ** 14)],
+                         ids=["Z2+Z to Z3+Z6", "Z4+Z to Z2+Z8",
+                              "Z2+Z4+Z8 to itself"])
+def test_hom_decodes_non_chain_pairs(a, b, order):
+    A, B = fp_from_factors(a), fp_from_factors(b)
+    H, decode, maps = decoded_maps(A, B)
+    assert decode(H.zero()).is_zero()
+    assert H.order() == len(maps) == order
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from([0, 2, 3, 4, 6, 8]), min_size=1,
+                max_size=2),
+       st.lists(st.sampled_from([2, 3, 4, 6, 8]), min_size=1,
+                max_size=3).filter(lambda b: math.prod(b) <= 48))
+def test_hom_decodes_each_element_to_its_own_map(a, b):
+    """Every element of H decodes to a well-defined map of its own, and
+    there are as many as a brute-force count finds."""
+    A, B = fp_from_factors(a), fp_from_factors(b)
+    H, _, maps = decoded_maps(A, B)
+    assert H.order() == len(maps) == brute_hom_count(A, B)
+
+
 def test_hom_multiplicativity():
     A = fp_cyclic(4)
     B = fp_cyclic(6)

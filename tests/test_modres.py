@@ -787,6 +787,27 @@ def test_hom_r_matches_enumerated_homs():
     assert checked >= 100
 
 
+def test_hom_r_matches_enumerated_homs_on_non_chain_pairs():
+    """Z/2 ⊕ Z/4 ⊕ Z/8 over Z/8, to and from Z/2 ⊕ Z/4: the first pair's
+    factor gcds are no divisibility chain, so the oracle reads H's Smith
+    coordinates apart from its generators.  (With itself, 2^14 maps, the
+    same check takes seconds; test_fpgroup decodes that pair.)"""
+    R = ring_zmod(8)
+    big, small = (module_from_integer_action(R, fp_from_factors(f),
+                                             lambda r: r[0])
+                  for f in ([2, 4, 8], [2, 4]))
+    for M, N in [(big, small), (small, big)]:
+        homs = reference_r_linear_homs(M, N)
+        H, keys = hom_r_images(M, N)
+        assert keys == {hom_key(h) for h in homs}
+        G = N.additive
+        expected = abelian_invariants_by_counting(
+            sorted(keys), lambda a, b: tuple(map(G.add, a, b)),
+            tuple(G.zero() for _ in range(M.additive.gens)))
+        assert H.order() == len(homs) == 2 ** 8
+        assert H.invariant_factors == expected
+
+
 def test_ext_matches_cyclic_oracle():
     """Every divisor pair of n in {4, 6, 8, 9, 12} up to degree 2.  Z/e
     for large e resolves into terms past the default element cap, so the

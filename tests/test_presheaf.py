@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from groundwork import InputError
 from groundwork.fincat import (FinFunctor, one_object_group, poset_category,
                                terminal_category, walking_arrow)
 from groundwork.presheaf import (InvalidPresheaf, PresheafMap,
@@ -175,6 +176,17 @@ def test_coproduct_sizes_and_empty():
         inj.check()
     E, _ = coproduct([], cat=C)
     assert E == empty_presheaf(C)
+
+
+def test_empty_coproduct_without_a_category_is_an_input_error():
+    with pytest.raises(InputError, match="empty family needs an explicit "
+                       "category"):
+        coproduct([])
+
+
+def test_representable_at_an_unknown_object_is_an_input_error():
+    with pytest.raises(InputError, match="^unknown object 'zz'$"):
+        representable(walking_arrow(), "zz")
 
 
 def test_product_pointwise():

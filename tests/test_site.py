@@ -1,6 +1,8 @@
 import pytest
 
-from groundwork.fincat import FinFunctor, discrete_category, walking_arrow
+from groundwork import InputError
+from groundwork.fincat import (FinFunctor, discrete_category,
+                               identity_functor, walking_arrow)
 from groundwork.presheaf import product, representable, validate_presheaf
 from groundwork.site import (HypothesisFailure, InvalidTopology,
                              ResourceExceeded, Sieve, comparison_check,
@@ -240,6 +242,14 @@ def test_sheafify_universal_property():
     assert sheafify_universal_check(F, J, S)
 
 
+def test_sheafify_universal_check_into_a_non_sheaf_is_an_input_error():
+    X = discrete_space(["p", "q"])
+    C, J = site_from_finite_space(X)
+    F = constant_presheaf(C, [0, 1])
+    with pytest.raises(InputError, match="test target is not a sheaf"):
+        sheafify_universal_check(F, J, F)
+
+
 # -- finite spaces ----------------------------------------------------------------
 
 
@@ -282,7 +292,6 @@ def test_connected_components():
 
 
 def test_comparison_identity():
-    from groundwork.fincat import identity_functor
     X = discrete_space(["p", "q"])
     C, J = site_from_finite_space(X)
     u = identity_functor(C)
@@ -335,3 +344,10 @@ def test_comparison_covering_failure():
     with pytest.raises(HypothesisFailure) as exc:
         comparison_check(u, J, [])
     assert exc.value.clause == "covering"
+
+
+def test_comparison_check_of_a_non_sheaf_is_an_input_error():
+    C, J = site_from_finite_space(discrete_space(["p", "q"]))
+    F = constant_presheaf(C, [0, 1])
+    with pytest.raises(InputError, match="test presheaf is not a J'-sheaf"):
+        comparison_check(identity_functor(C), J, [F])
